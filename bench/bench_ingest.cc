@@ -1,26 +1,25 @@
 // Ingest-path throughput: per-tuple Consume(Packet) vs batched columnar
-// Consume(PacketBatch) vs ShardedQueryExecution (mutex router) vs
-// PipelinedQueryExecution (shared-nothing SPSC pipeline) at 1/2/4/8
-// shards, over a flow-structured netgen trace and the paper-style
-// two-level query
+// Consume(PacketBatch) vs PipelinedQueryExecution (shared-nothing SPSC
+// pipeline) at 1/2/4/8 shards, over a flow-structured netgen trace and
+// the paper-style two-level query
 //
 //   select destPort, count(*), sum(len), avg(len) from TCP
 //   group by destPort
 //
 // Every mode runs the same trace and must produce the same groups; the
 // harness cross-checks the result tables before reporting numbers
-// (batched vs per-tuple bit-identical; sharded/pipeline checked on the
+// (batched vs per-tuple bit-identical; pipeline checked on the
 // integer-exact columns, DESIGN.md §8).
 //
 // Results append to BENCH_ingest.json as one JSON object per line so CI
 // runs accumulate. Records carry no wall-clock timestamps — machine
 // identity and run ordering are the log file's job — but do record
-// hardware concurrency: on a single-core runner the sharded/pipeline
-// rows measure router + handoff overhead, not parallel speedup, and
-// must be read alongside the "nproc" field. Parallel rows also carry a
-// "pipeline" generation tag ("router-v1" mutex router, "spsc-v2"
-// shared-nothing pipeline) so scripts/check_bench.py never gates one
-// generation against the other.
+// hardware concurrency: on a single-core runner the pipeline rows
+// measure router + handoff overhead, not parallel speedup, and must be
+// read alongside the "nproc" field. Pipeline rows also carry a
+// "pipeline" generation tag ("spsc-v2"; older logs hold "router-v1"
+// rows from the retired mutex router) so scripts/check_bench.py never
+// gates one generation against the other.
 
 #include <unistd.h>
 
@@ -56,7 +55,7 @@ constexpr std::size_t kBatchCapacity = dsms::PacketBatch::kDefaultCapacity;
 
 struct ModeResult {
   std::string mode;
-  std::string pipeline;     // parallel rows: "router-v1" | "spsc-v2"
+  std::string pipeline;     // pipeline rows: "spsc-v2"
   std::size_t shards = 0;   // 0 = unsharded
   std::size_t threads = 1;
   double ns_per_packet = 0.0;
@@ -133,40 +132,9 @@ ModeResult RunBatched(const dsms::CompiledQuery& plan,
   return r;
 }
 
-ModeResult RunSharded(const dsms::CompiledQuery& plan,
-                      const std::vector<dsms::PacketBatch>& batches,
-                      std::size_t n_packets, std::size_t num_shards) {
-  ModeResult r;
-  r.mode = "sharded";
-  r.pipeline = "router-v1";
-  r.shards = num_shards;
-  r.threads = num_shards;  // one ingest thread per shard count
-  dsms::ShardedQueryExecution sharded(plan, num_shards);
-  Timer timer;
-  std::vector<std::thread> threads;
-  threads.reserve(num_shards);
-  for (std::size_t t = 0; t < num_shards; ++t) {
-    threads.emplace_back([&sharded, &batches, t, num_shards] {
-      // Static round-robin split of the batch list across ingest
-      // threads; every thread routes its own batches through the
-      // lock-free filter/hash stage.
-      for (std::size_t b = t; b < batches.size(); b += num_shards) {
-        sharded.Consume(batches[b]);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  r.ns_per_packet = static_cast<double>(timer.ElapsedNanos()) /
-                    static_cast<double>(n_packets);
-  r.tuples_aggregated = sharded.tuples_aggregated();
-  r.result = sharded.Finish();
-  return r;
-}
-
 ModeResult RunPipeline(const dsms::CompiledQuery& plan,
                        const std::vector<dsms::PacketBatch>& batches,
-                       std::size_t n_packets, std::size_t num_shards,
-                       std::size_t ring_capacity, bool pin_cores) {
+                       std::size_t n_packets, std::size_t num_shards) {
   ModeResult r;
   r.mode = "pipeline";
   r.pipeline = "spsc-v2";
@@ -174,13 +142,9 @@ ModeResult RunPipeline(const dsms::CompiledQuery& plan,
   r.threads = num_shards + 1;  // N shard workers + the router thread
   dsms::PipelinedQueryExecution::Options options;
   options.num_shards = num_shards;
-  options.ring_capacity = ring_capacity;
-  options.batch_capacity = kBatchCapacity;
-  options.pin_cores = pin_cores;
   dsms::PipelinedQueryExecution pipeline(plan, options);
   // The timer covers routing + the full drain (Quiesce), so the number
-  // is end-to-end ingest; the merge stays off the clock, matching how
-  // the sharded mode times ingest and merges in Finish() afterwards.
+  // is end-to-end ingest; the merge in Finish() stays off the clock.
   Timer timer;
   for (const dsms::PacketBatch& b : batches) pipeline.Consume(b);
   pipeline.Quiesce();
@@ -218,7 +182,7 @@ void AppendJson(const std::string& path, const ModeResult& r,
     std::fprintf(stderr, "cannot open %s for append\n", path.c_str());
     return;
   }
-  // Parallel rows carry the pipeline-generation tag; unsharded rows
+  // Pipeline rows carry the pipeline-generation tag; unsharded rows
   // omit the field (check_bench.py treats absence as its own key).
   char pipeline_field[48] = "";
   if (!r.pipeline.empty()) {
@@ -247,8 +211,6 @@ void AppendJson(const std::string& path, const ModeResult& r,
 int main(int argc, char** argv) {
   std::size_t n_packets = 1000000;
   std::size_t max_shards = 8;
-  std::size_t ring_capacity = 64;
-  bool pin_cores = false;
   std::string json_path = "BENCH_ingest.json";
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
@@ -256,23 +218,18 @@ int main(int argc, char** argv) {
     if (arg == "--quick") {
       quick = true;
       n_packets = 100000;
-    } else if (arg == "--pin") {
-      pin_cores = true;
     } else if (arg.rfind("--packets=", 0) == 0) {
       n_packets = static_cast<std::size_t>(
           std::strtoull(arg.c_str() + 10, nullptr, 10));
     } else if (arg.rfind("--shards=", 0) == 0) {
       max_shards = static_cast<std::size_t>(
           std::strtoull(arg.c_str() + 9, nullptr, 10));
-    } else if (arg.rfind("--ring=", 0) == 0) {
-      ring_capacity = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 7, nullptr, 10));
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--pin] [--packets=N] [--shards=N] "
-                   "[--ring=SLOTS] [--json=PATH]\n",
+                   "usage: %s [--quick] [--packets=N] [--shards=N] "
+                   "[--json=PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -281,13 +238,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--packets and --shards must be positive\n");
     return 2;
   }
-  if (ring_capacity < 2 || (ring_capacity & (ring_capacity - 1)) != 0) {
-    std::fprintf(stderr, "--ring must be a power of two >= 2\n");
-    return 2;
-  }
 
   PrintHeader("Ingest throughput",
-              "per-tuple vs batched vs sharded vs pipeline "
+              "per-tuple vs batched vs pipeline "
               "(DESIGN.md §8, §14)");
   std::printf("trace: %zu flow-structured packets; query: %s\n", n_packets,
               kQuery);
@@ -313,17 +266,13 @@ int main(int argc, char** argv) {
   results.push_back(RunPerTuple(*plan, trace));
   results.push_back(RunBatched(*plan, batches, trace.size()));
   for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
-    results.push_back(RunSharded(*plan, batches, trace.size(), shards));
-  }
-  for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
-    results.push_back(RunPipeline(*plan, batches, trace.size(), shards,
-                                  ring_capacity, pin_cores));
+    results.push_back(RunPipeline(*plan, batches, trace.size(), shards));
   }
 
   const ModeResult& reference = results.front();
   CheckAgainstReference(results[1], reference, /*all_columns=*/true);
   for (std::size_t i = 2; i < results.size(); ++i) {
-    // Sharded/pipeline two-level runs evict at different points, so only
+    // Pipeline two-level runs evict at different points, so only
     // the integer-exact columns are compared (avg differs in the last
     // ulp).
     CheckAgainstReference(results[i], reference, /*all_columns=*/false);

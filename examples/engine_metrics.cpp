@@ -7,7 +7,7 @@
 // background rescaling thread.
 //
 // This example runs the ingest pipeline end to end (batched ingest,
-// sharded ingest, checkpoint + restore), lets a StatsReporter thread
+// pipelined sharded ingest, checkpoint + restore), lets a StatsReporter thread
 // emit periodic reports, registers an application-level metric of its
 // own, and finally scrapes the registry the way a Prometheus /metrics
 // endpoint would.
@@ -114,8 +114,11 @@ int main() {
 
   // Sharded ingest: per-shard counters land in labelled families
   // (fwdecay_shard_tuples_total{shard="0"} etc.).
-  ShardedQueryExecution sharded(*plan, /*num_shards=*/2);
+  PipelinedQueryExecution::Options pipeline_opts;
+  pipeline_opts.num_shards = 2;
+  PipelinedQueryExecution sharded(*plan, pipeline_opts);
   for (const PacketBatch& b : batches) sharded.Consume(b);
+  sharded.Quiesce();
   std::printf("sharded execution: %llu tuples across %zu shards\n",
               static_cast<unsigned long long>(sharded.tuples_aggregated()),
               sharded.num_shards());

@@ -97,7 +97,7 @@ the purely syntactic conventions. Nine rules:
                  line (or the line above).
 
   hotpath-purity Walks the call graph from the batched-ingest roots —
-                 Consume/ConsumeFiltered, UpdateBatch overrides,
+                 Consume/ConsumeBatch, UpdateBatch overrides,
                  EvalPredicateBatch/EvalExprBatch, core AddBatch — and
                  proves no reachable heap allocation (new/make_unique/
                  make_shared/to_string/malloc, owning-container
@@ -1319,7 +1319,7 @@ class TaintAnalysis:
 # Entry points of the batched ingest path (DESIGN.md §8): everything
 # reachable from these must stay allocation-, throw- and syscall-free.
 HOTPATH_ROOTS = frozenset({
-    "Consume", "ConsumeFiltered", "UpdateBatch",
+    "Consume", "ConsumeBatch", "UpdateBatch",
     "EvalPredicateBatch", "EvalExprBatch", "AddBatch",
 })
 # The one audited virtual hierarchy on the hot path: AggState dispatch

@@ -42,7 +42,6 @@ REQUIRED_SECTIONS = [
     ("DESIGN.md", r"^### 14\.1 The SPSC ring and its memory-order contract"),
     ("DESIGN.md", r"^### 14\.3 Ownership-transfer rules"),
     ("DESIGN.md", r"^### 14\.4 Why the merge at Finish\(\) is bit-exact"),
-    ("DESIGN.md", r"^### 14\.5 Core pinning policy"),
     ("README.md", r"^## Observability"),
     ("README.md", r"^## Build flags"),
     ("README.md", r"^## Serving"),

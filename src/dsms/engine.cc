@@ -4,13 +4,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <thread>
 #include <utility>
-
-#if defined(__linux__)
-#include <sched.h>  // sched_setaffinity (worker core pinning)
-#endif
 
 #include "core/decay.h"
 #include "util/arena.h"
@@ -360,6 +357,22 @@ std::unique_ptr<CompiledQuery> CompiledQuery::CompileParsed(Query query,
 
 std::unique_ptr<QueryExecution> CompiledQuery::NewExecution() const {
   return std::make_unique<QueryExecution>(this);
+}
+
+std::size_t CompiledQuery::SelectRows(const PacketBatch& batch,
+                                      std::uint32_t* sel,
+                                      BatchEvalScratch* scratch) const {
+  const std::size_t n_in = batch.size();
+  std::size_t n = n_in;
+  if (protocol_filter_ != 0) {
+    n = simd::FilterByteEq(batch.protocol(), protocol_filter_, n_in, sel);
+  } else {
+    std::iota(sel, sel + n_in, 0u);
+  }
+  if (where_ != nullptr && n > 0) {
+    n = EvalPredicateBatch(*where_, batch, sel, n, scratch);
+  }
+  return n;
 }
 
 std::uint64_t CompiledQuery::Fingerprint() const {
@@ -731,6 +744,11 @@ void QueryExecution::Consume(const Packet& p) {
 }
 
 void QueryExecution::Consume(const PacketBatch& batch) {
+  ConsumeBatch(batch, /*prefiltered=*/false);
+}
+
+void QueryExecution::ConsumeBatch(const PacketBatch& batch,
+                                  bool prefiltered) {
   // 1-in-kMetricsSamplePeriod batches get a wall-clock sample into the
   // decayed ns-per-batch reservoir; a null handle means the clock is
   // never read. The periodic FlushMetrics() below publishes counter
@@ -752,57 +770,19 @@ void QueryExecution::Consume(const PacketBatch& batch) {
     FlushMetrics();
   }
 
+  // A prefiltered batch holds only rows this shard owns, so counting
+  // them keeps tuples_aggregated_ <= packets_consumed_ per shard.
   const std::size_t n_in = batch.size();
   packets_consumed_ += n_in;
   if (n_in == 0) return;
 
-  // Selection vector over the batch: start from the protocol filter
-  // (vectorized byte compare over the column), then narrow by WHERE.
   sel_.resize(n_in);
-  std::size_t n = 0;
-  if (plan_->protocol_filter_ != 0) {
-    n = simd::FilterByteEq(batch.protocol(), plan_->protocol_filter_, n_in,
-                           sel_.data());
+  std::size_t n = n_in;
+  if (prefiltered) {
+    std::iota(sel_.begin(), sel_.end(), 0u);
   } else {
-    for (std::size_t i = 0; i < n_in; ++i) {
-      sel_[i] = static_cast<std::uint32_t>(i);
-    }
-    n = n_in;
+    n = plan_->SelectRows(batch, sel_.data(), &batch_scratch_);
   }
-  if (plan_->where_ != nullptr && n > 0) {
-    n = EvalPredicateBatch(*plan_->where_, batch, sel_.data(), n,
-                           &batch_scratch_);
-  }
-  AggregateSelection(batch, n);
-}
-
-void QueryExecution::ConsumeFiltered(const PacketBatch& batch,
-                                     const std::uint32_t* rows,
-                                     std::size_t n) {
-  // Same sampling/flush cadence as Consume(batch) — this is the
-  // per-shard hot path (caller holds the shard lock).
-  metrics::LatencyReservoir* sampled_reservoir =
-      (FWDECAY_METRICS_ENABLED &&
-       metrics_batch_seq_ % kMetricsSamplePeriod == 0)
-          ? metrics_.batch_ns
-          : nullptr;
-  metrics::ScopedTimerSample batch_timer(
-      sampled_reservoir,
-      sampled_reservoir != nullptr
-          // fwdecay: hotpath-cold(1-in-64 sampled batch timer reads the clock)
-          ? metrics::MetricsRegistry::Instance().NowSeconds()
-          : 0.0);
-  if (FWDECAY_METRICS_ENABLED &&
-      ++metrics_batch_seq_ % kMetricsFlushPeriod == 0) {
-    // fwdecay: hotpath-cold(1-in-64 periodic metrics flush)
-    FlushMetrics();
-  }
-
-  // The router already applied protocol + WHERE; count only the rows
-  // this shard owns so tuples_aggregated_ <= packets_consumed_ holds
-  // per shard.
-  packets_consumed_ += n;
-  sel_.assign(rows, rows + n);
   AggregateSelection(batch, n);
 }
 
@@ -1424,7 +1404,7 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
 }
 
 // ---------------------------------------------------------------------------
-// Sharded execution
+// Pipelined execution (shared-nothing, DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -1435,200 +1415,6 @@ namespace {
 // would correlate shard choice with slot index and skew low-table
 // occupancy per shard.
 constexpr std::uint64_t kShardRouteSeed = 0x5ca1ab1e0ddba11ULL;
-
-// Per-ingest-thread router scratch for ShardedQueryExecution::Consume.
-// Capacity is retained across batches, so steady-state routing
-// allocates nothing; thread_local (not members) because Consume() is
-// documented safe from any number of ingest threads concurrently.
-struct RouterScratch {
-  BatchEvalScratch eval;
-  std::vector<std::uint32_t> sel;
-  std::vector<ValueColumn> key_cols;
-  std::vector<std::uint64_t> hashes;
-  std::vector<std::uint32_t> shard_ids;
-  std::vector<std::vector<std::uint32_t>> shard_rows;
-};
-
-}  // namespace
-
-ShardedQueryExecution::ShardedQueryExecution(const CompiledQuery& plan,
-                                             std::size_t num_shards)
-    : plan_(&plan) {
-  FWDECAY_CHECK_MSG(num_shards > 0,
-                    "ShardedQueryExecution needs at least one shard");
-  shards_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    {
-      MutexLock lock(shard->mu);
-      shard->exec = plan.NewExecution();
-      shard->exec->UseShardMetrics(s);
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void ShardedQueryExecution::Consume(const PacketBatch& batch) {
-  // fwdecay: relaxed-ok(independent monotone cell; RMW atomicity alone prevents lost counts)
-  packets_offered_.fetch_add(batch.size(), std::memory_order_relaxed);
-  // Router-level offered-packet count goes to the engine-wide family;
-  // the per-shard fwdecay_shard_* counters only see post-filter rows.
-  EngineMetrics::Get().packets->Increment(batch.size());
-  const std::size_t n_in = batch.size();
-  if (n_in == 0) return;
-
-  // Router state is thread-local (see RouterScratch): filtering and
-  // hashing run lock-free on each ingest thread against capacity-
-  // retained scratch; only the per-shard application takes that
-  // shard's lock.
-  thread_local RouterScratch rs;
-  rs.sel.resize(n_in);
-  std::size_t n = 0;
-  if (plan_->protocol_filter_ != 0) {
-    n = simd::FilterByteEq(batch.protocol(), plan_->protocol_filter_, n_in,
-                           rs.sel.data());
-  } else {
-    for (std::size_t i = 0; i < n_in; ++i) {
-      rs.sel[i] = static_cast<std::uint32_t>(i);
-    }
-    n = n_in;
-  }
-  if (plan_->where_ != nullptr && n > 0) {
-    n = EvalPredicateBatch(*plan_->where_, batch, rs.sel.data(), n,
-                           &rs.eval);
-  }
-  if (n == 0) return;
-
-  const std::size_t num_groups = plan_->group_exprs_.size();
-  if (rs.key_cols.size() < num_groups) rs.key_cols.resize(num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    EvalExprBatch(*plan_->group_exprs_[g], batch, rs.sel.data(), n,
-                  &rs.eval, &rs.key_cols[g]);
-  }
-
-  if (rs.shard_rows.size() < shards_.size()) {
-    rs.shard_rows.resize(shards_.size());
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) rs.shard_rows[s].clear();
-  rs.hashes.resize(n);
-  ComputeGroupHashes(rs.key_cols, num_groups, n, rs.hashes.data());
-  rs.shard_ids.resize(n);
-  simd::ShardIndexU64(rs.hashes.data(), n, kShardRouteSeed,
-                      static_cast<std::uint32_t>(shards_.size()),
-                      rs.shard_ids.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    rs.shard_rows[rs.shard_ids[i]].push_back(rs.sel[i]);
-  }
-
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (rs.shard_rows[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    // fwdecay: hotpath-lock-ok(per-shard lock amortized over the shard's whole row slice)
-    MutexLock lock(shard.mu);
-    shard.exec->ConsumeFiltered(batch, rs.shard_rows[s].data(),
-                                rs.shard_rows[s].size());
-  }
-}
-
-ResultSet ShardedQueryExecution::Finish() {
-  // Each shard flushes its low level under its own policy (so per-shard
-  // shedding bounds apply through the flush, exactly as in the
-  // non-sharded Finish), then donates its groups to a fresh policy-free
-  // execution. Shard key spaces are disjoint, so the donation is a pure
-  // move — no aggregate Merge, no FP reassociation, no re-shedding.
-  std::unique_ptr<QueryExecution> merged = plan_->NewExecution();
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->exec->FlushLowLevel();
-    // Publish the tail deltas now that the shard has quiesced, so a
-    // scrape right after Finish() sees counts matching the result set
-    // instead of lagging by up to kMetricsFlushPeriod batches.
-    shard->exec->FlushMetrics();
-    merged->MergeFrom(*shard->exec);
-  }
-  return merged->Finish();
-}
-
-void ShardedQueryExecution::SetOverloadPolicy(const OverloadPolicy& policy) {
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->exec->SetOverloadPolicy(policy);
-  }
-}
-
-std::uint64_t ShardedQueryExecution::tuples_aggregated() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->tuples_aggregated();
-  }
-  return total;
-}
-
-std::uint64_t ShardedQueryExecution::low_level_evictions() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->low_level_evictions();
-  }
-  return total;
-}
-
-std::uint64_t ShardedQueryExecution::groups_shed() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->groups_shed();
-  }
-  return total;
-}
-
-std::uint64_t ShardedQueryExecution::tuples_shed() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->tuples_shed();
-  }
-  return total;
-}
-
-std::size_t ShardedQueryExecution::GroupCount() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    total += shard->exec->GroupCount();
-  }
-  return total;
-}
-
-void ShardedQueryExecution::CheckInvariants() const {
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->exec->CheckInvariants();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined execution (shared-nothing, DESIGN.md §14)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Pins the calling thread to one core (Linux; no-op elsewhere). Best
-// effort: a failed setaffinity (e.g. restricted cpuset) just leaves the
-// thread floating.
-void PinCallingThreadToCore(std::size_t index) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(index % hw), &set);
-  (void)::sched_setaffinity(0, sizeof(set), &set);
-#else
-  (void)index;
-#endif
-}
 
 }  // namespace
 
@@ -1667,7 +1453,7 @@ PipelinedQueryExecution::PipelinedQueryExecution(const CompiledQuery& plan,
   for (std::size_t s = 0; s < options.num_shards; ++s) {
     Shard* shard = shards_[s].get();
     shards_[s]->worker =
-        sched::Thread([this, shard, s] { WorkerLoop(*shard, s); });
+        sched::Thread([this, shard] { WorkerLoop(*shard); });
   }
 }
 
@@ -1683,34 +1469,22 @@ PipelinedQueryExecution::~PipelinedQueryExecution() {
 }
 
 void PipelinedQueryExecution::Consume(const PacketBatch& batch) {
-  FWDECAY_DCHECK(!quiesced_);
+  // The workers are joined once quiesced: a later batch would be lost
+  // in `pending` or spin forever on a full ring.
+  FWDECAY_CHECK_MSG(!quiesced_,
+                    "PipelinedQueryExecution::Consume after Quiesce/Finish");
   packets_offered_ += batch.size();
   // Router-level offered-packet count goes to the engine-wide family;
-  // the per-shard fwdecay_shard_* counters only see post-filter rows
-  // (same split as the sharded router).
+  // the per-shard fwdecay_shard_* counters only see post-filter rows.
   EngineMetrics::Get().packets->Increment(batch.size());
   const std::size_t n_in = batch.size();
   if (n_in == 0) return;
 
-  // Stage 1 — filter + hash on the router thread, identical algebra to
-  // ShardedQueryExecution::Consume (and therefore to the single-thread
-  // reference): protocol filter, WHERE, group-key columns, group hash,
-  // remixed shard index.
+  // Stage 1 — filter + hash on the router thread, the same algebra as
+  // the single-thread reference: protocol filter, WHERE, group-key
+  // columns, group hash; then the remixed shard index.
   sel_.resize(n_in);
-  std::size_t n = 0;
-  if (plan_->protocol_filter_ != 0) {
-    n = simd::FilterByteEq(batch.protocol(), plan_->protocol_filter_, n_in,
-                           sel_.data());
-  } else {
-    for (std::size_t i = 0; i < n_in; ++i) {
-      sel_[i] = static_cast<std::uint32_t>(i);
-    }
-    n = n_in;
-  }
-  if (plan_->where_ != nullptr && n > 0) {
-    n = EvalPredicateBatch(*plan_->where_, batch, sel_.data(), n,
-                           &eval_scratch_);
-  }
+  const std::size_t n = plan_->SelectRows(batch, sel_.data(), &eval_scratch_);
   if (n == 0) return;
 
   const std::size_t num_groups = plan_->group_exprs_.size();
@@ -1768,13 +1542,7 @@ void PipelinedQueryExecution::DispatchPending(Shard& shard) {
   }
 }
 
-void PipelinedQueryExecution::WorkerLoop(Shard& shard, std::size_t index) {
-  if (options_.pin_cores && !sched::InScheduledRegion()) {
-    // Core 0 is left to the router (the caller's thread).
-    PinCallingThreadToCore(index + 1);
-  }
-  std::vector<std::uint32_t> rows;
-  rows.reserve(options_.batch_capacity);
+void PipelinedQueryExecution::WorkerLoop(Shard& shard) {
   PacketBatch batch(1);
   for (;;) {
     if (!shard.to_worker.TryPop(&batch)) {
@@ -1792,12 +1560,7 @@ void PipelinedQueryExecution::WorkerLoop(Shard& shard, std::size_t index) {
         continue;
       }
     }
-    const std::size_t n = batch.size();
-    rows.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rows[i] = static_cast<std::uint32_t>(i);
-    }
-    shard.exec->ConsumeFiltered(batch, rows.data(), n);
+    shard.exec->ConsumeBatch(batch, /*prefiltered=*/true);
     batch.Clear();
     // Offer the cleared batch back to the router; dropping it when the
     // recycle ring is full is fine (the router allocates a fresh one).
@@ -1826,14 +1589,17 @@ ResultSet PipelinedQueryExecution::Finish() {
                     "PipelinedQueryExecution::Finish is one-shot");
   Quiesce();
   finished_ = true;
-  // Identical merge contract to ShardedQueryExecution::Finish: each
-  // shard flushes its low level under its own policy, then donates its
-  // groups to a fresh policy-free execution. Shard key spaces are
-  // disjoint, so the donation is a pure move — no aggregate Merge, no
-  // FP reassociation, no re-shedding (Section VI-B).
+  // Each shard flushes its low level under its own policy (so per-shard
+  // shedding bounds apply through the flush, exactly as in the
+  // single-threaded Finish), then donates its groups to a fresh
+  // policy-free execution. Shard key spaces are disjoint, so the
+  // donation is a pure move — no aggregate Merge, no FP reassociation,
+  // no re-shedding (Section VI-B).
   std::unique_ptr<QueryExecution> merged = plan_->NewExecution();
   for (auto& shard : shards_) {
     shard->exec->FlushLowLevel();
+    // Publish the tail deltas now that the shard has quiesced, so a
+    // scrape right after Finish() sees counts matching the result set.
     shard->exec->FlushMetrics();
     merged->MergeFrom(*shard->exec);
   }

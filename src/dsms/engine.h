@@ -1,7 +1,6 @@
 #ifndef FWDECAY_DSMS_ENGINE_H_
 #define FWDECAY_DSMS_ENGINE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -20,7 +19,6 @@
 #include "util/bytes.h"
 #include "util/metrics.h"
 #include "util/sched.h"
-#include "util/thread_annotations.h"
 
 // Query compilation and execution for the mini DSMS.
 //
@@ -104,8 +102,7 @@ class CompiledQuery {
 
  private:
   friend class QueryExecution;
-  friend class ShardedQueryExecution;   // router reads filter + group exprs
-  friend class PipelinedQueryExecution;  // same router, async shard stage
+  friend class PipelinedQueryExecution;  // router reads filter + group exprs
 
   struct OutputItem {
     // Bound post-aggregation expression: kGroupRef/kAggRef placeholders
@@ -116,6 +113,13 @@ class CompiledQuery {
   };
 
   CompiledQuery() = default;
+
+  // Fills sel[0..n) with the ascending batch rows that pass the protocol
+  // filter (vectorized byte compare over the column) and then WHERE;
+  // returns n. `sel` must hold batch.size() entries. The one selection
+  // stage shared by QueryExecution::Consume and the pipeline's router.
+  std::size_t SelectRows(const PacketBatch& batch, std::uint32_t* sel,
+                         BatchEvalScratch* scratch) const;
 
   Options options_;
   std::uint8_t protocol_filter_ = 0;     // 0 = all, else exact match
@@ -230,7 +234,6 @@ class QueryExecution {
   void Reset();
 
  private:
-  friend class ShardedQueryExecution;
   friend class PipelinedQueryExecution;
 
   struct Group;
@@ -252,10 +255,10 @@ class QueryExecution {
   // surviving batch rows; key/argument columns are evaluated densely
   // over it and applied run by run.
   void AggregateSelection(const PacketBatch& batch, std::size_t n);
-  // Sharded entry point (router already applied protocol + WHERE):
-  // `rows[0..n)` are ascending batch rows this execution owns.
-  void ConsumeFiltered(const PacketBatch& batch, const std::uint32_t* rows,
-                       std::size_t n);
+  // Batched ingest body. `prefiltered` is the shard entry point: the
+  // pipeline's router already applied protocol + WHERE and gathered only
+  // this execution's rows, so every batch row is aggregated.
+  void ConsumeBatch(const PacketBatch& batch, bool prefiltered);
   // Evicts every occupied low-level slot to the high level (the first
   // phase of Finish(); shards flush before merging).
   void FlushLowLevel();
@@ -277,7 +280,7 @@ class QueryExecution {
   void FlushMetrics();
   // Rebinds the counter/gauge handles to the per-shard labelled
   // families (fwdecay_shard_*{shard="i"}); called once per shard by
-  // ShardedQueryExecution before any ingest.
+  // PipelinedQueryExecution before any ingest.
   void UseShardMetrics(std::size_t shard_index);
   bool SerializeGroup(const Group& group, ByteWriter* writer,
                       std::string* error) const;
@@ -349,185 +352,40 @@ class QueryExecution {
   PacketBatch single_{1};                 // Consume(Packet) wrapper
 };
 
-/// Thread-safe facade over QueryExecution — the deployment shape where
-/// several ingest threads feed one standing query and a control thread
-/// checkpoints or reads stats. A single mutex suffices for the same
-/// reason as ConcurrentDecayingReservoir: each Consume() is dominated by
-/// expression evaluation and aggregate updates, not by the lock.
-///
-/// The lock discipline is declared with thread-safety annotations: the
-/// wrapped execution is PT_GUARDED_BY(mu_), so a clang build with
-/// -DFWDECAY_THREAD_SAFETY=ON proves at compile time that no code path
-/// reaches the underlying (thread-compatible) QueryExecution without
-/// holding the lock.
-class ConcurrentQueryExecution {
- public:
-  /// The plan must outlive this object (as with NewExecution()).
-  explicit ConcurrentQueryExecution(const CompiledQuery& plan)
-      : exec_(plan.NewExecution()) {}
-
-  /// Processes one packet; safe to call from any thread.
-  void Consume(const Packet& p) FWDECAY_EXCLUDES(mu_) {
-    // fwdecay: hotpath-lock-ok(this facade's whole contract is serializing ingest behind one lock)
-    MutexLock lock(mu_);
-    exec_->Consume(p);
-  }
-
-  /// Processes a columnar batch under the lock; safe from any thread.
-  /// Amortizes the lock acquisition over the whole batch.
-  void Consume(const PacketBatch& batch) FWDECAY_EXCLUDES(mu_) {
-    // fwdecay: hotpath-lock-ok(one acquisition amortized over the whole batch)
-    MutexLock lock(mu_);
-    exec_->Consume(batch);
-  }
-
-  /// Flushes and produces the final result table (serializes against
-  /// concurrent Consume() calls; results reflect a consistent cut).
-  ResultSet Finish() FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->Finish();
-  }
-
-  std::uint64_t packets_consumed() const FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->packets_consumed();
-  }
-
-  std::uint64_t tuples_aggregated() const FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->tuples_aggregated();
-  }
-
-  std::size_t GroupCount() const FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->GroupCount();
-  }
-
-  void SetOverloadPolicy(const OverloadPolicy& policy)
-      FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    exec_->SetOverloadPolicy(policy);
-  }
-
-  /// Consistent snapshot concurrent with ingest (the snapshot is taken
-  /// under the lock; the write itself is the usual atomic-rename).
-  bool Checkpoint(const std::string& path, std::string* error) const
-      FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->Checkpoint(path, error);
-  }
-
-  bool Restore(const std::string& path, std::string* error)
-      FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return exec_->Restore(path, error);
-  }
-
-  /// Group-table audit under the lock, so stress tests can interleave
-  /// audits with concurrent ingest.
-  void CheckInvariants() const FWDECAY_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    exec_->CheckInvariants();
-  }
-
- private:
-  mutable Mutex mu_;
-  std::unique_ptr<QueryExecution> exec_ FWDECAY_PT_GUARDED_BY(mu_);
-};
-
-/// Hash-partitioned parallel execution: N independent per-shard
-/// QueryExecutions, each behind its own mutex. The caller's thread acts
-/// as the router — it filters the batch and computes group-key hashes
-/// lock-free, partitions the surviving rows by a *remixed* group hash
-/// (independent of the low-level table's `hash % slots` indexing, so
-/// shard routing does not bias slot occupancy), and applies each
-/// shard's rows under that shard's lock only. Ingest threads working on
-/// different shards never contend.
-///
-/// Because a group's key always hashes to the same shard, every group
-/// is owned wholly by one shard. Finish() flushes each shard's low
-/// level and moves the disjoint group sets into one merged execution —
-/// forward decay makes this exact: group state is a sum of static
-/// weights g(t_i - L), so a partitioned sum equals the stream's sum
-/// (Section VI-B). With an OverloadPolicy installed, each shard
-/// enforces `max_groups` on its own table, so the sharded execution
-/// retains at most num_shards * max_groups groups (DESIGN.md §8).
-class ShardedQueryExecution {
- public:
-  /// The plan must outlive this object (as with NewExecution()).
-  ShardedQueryExecution(const CompiledQuery& plan, std::size_t num_shards);
-
-  ShardedQueryExecution(const ShardedQueryExecution&) = delete;
-  ShardedQueryExecution& operator=(const ShardedQueryExecution&) = delete;
-
-  /// Routes one batch across the shards; safe to call concurrently from
-  /// any number of ingest threads.
-  void Consume(const PacketBatch& batch);
-
-  /// Flushes and merges every shard, then finalizes. Call once, after
-  /// ingest has quiesced: the merge moves group state out of the shards.
-  ResultSet Finish();
-
-  /// Installs the policy on every shard; each shard bounds its own
-  /// group table, so the total bound is num_shards * max_groups.
-  void SetOverloadPolicy(const OverloadPolicy& policy);
-
-  /// Packets offered to Consume() (router-level, pre-filter).
-  std::uint64_t packets_consumed() const {
-    // fwdecay: relaxed-ok(independent monotone cell; readers need a recent count, not an ordering)
-    return packets_offered_.load(std::memory_order_relaxed);
-  }
-
-  // Shard-summed counters (each shard read under its lock).
-  std::uint64_t tuples_aggregated() const;
-  std::uint64_t low_level_evictions() const;
-  std::uint64_t groups_shed() const;
-  std::uint64_t tuples_shed() const;
-  std::size_t GroupCount() const;
-
-  std::size_t num_shards() const { return shards_.size(); }
-
-  /// Runs the group-table audit on every shard, each under its lock.
-  void CheckInvariants() const;
-
- private:
-  struct Shard {
-    mutable Mutex mu;
-    std::unique_ptr<QueryExecution> exec FWDECAY_PT_GUARDED_BY(mu);
-  };
-
-  const CompiledQuery* plan_;
-  std::vector<std::unique_ptr<Shard>> shards_;  // Mutex is not movable
-  sched::Atomic<std::uint64_t> packets_offered_{0};
-};
-
-/// Shared-nothing pipelined execution (DESIGN.md §14) — the scaling
-/// successor to ShardedQueryExecution's mutex-per-shard router
-/// ("router-v1" in BENCH_ingest.json; this class is "spsc-v2").
+/// Shared-nothing hash-partitioned execution (DESIGN.md §14) — the
+/// engine's one parallel ingest path ("spsc-v2" in BENCH_ingest.json).
 ///
 /// One routing stage (the caller's thread) filters each batch, hashes
-/// the group keys, partitions the surviving rows by the remixed group
-/// hash (simd::ShardIndexU64), gathers each shard's rows into a
-/// per-shard sub-batch, and transfers that batch *whole* — by move,
-/// through a bounded SPSC ring — to the shard's worker thread. Each
-/// worker owns its QueryExecution outright: after construction no shard
-/// state is touched by two threads, so the ingest path has no locks at
-/// all. Consumed batches flow back to the router on a second SPSC ring
-/// for reuse, making the steady state allocation-free end to end.
+/// the group keys, partitions the surviving rows by a *remixed* group
+/// hash (simd::ShardIndexU64; independent of the low-level table's
+/// `hash % slots` indexing, so routing does not bias slot occupancy),
+/// gathers each shard's rows into a per-shard sub-batch, and transfers
+/// that batch *whole* — by move, through a bounded SPSC ring — to the
+/// shard's worker thread. Each worker owns its QueryExecution outright:
+/// after construction no shard state is touched by two threads, so the
+/// ingest path has no locks at all. Consumed batches flow back to the
+/// router on a second SPSC ring for reuse, making the steady state
+/// allocation-free end to end.
 ///
-/// Finish() runs off the hot path: it quiesces the pipeline (flush
-/// partial sub-batches, signal stop, join workers) and then performs
-/// the same FlushLowLevel + whole-group MergeFrom merge as the sharded
-/// router. Shard key spaces are disjoint and forward decay needs no
-/// rescaling on merge (Section VI-B), so the merged result is
-/// bit-identical to the mutex'd router's — and, for single-level
-/// plans, to the single-threaded reference (tests/spsc_ring_test.cc
-/// asserts both, including under schedule exploration).
+/// A group's key always routes to the same shard, so every group is
+/// owned wholly by one shard. Finish() runs off the hot path: it
+/// quiesces the pipeline (flush partial sub-batches, signal stop, join
+/// workers), flushes each shard's low level and moves the disjoint
+/// group sets into one merged execution. Forward decay makes this
+/// exact: group state is a sum of static weights g(t_i - L), so a
+/// partitioned sum equals the stream's sum with no rescaling (Section
+/// VI-B). Single-level plans are bit-identical to the single-threaded
+/// reference; two-level plans match it exactly on integer-valued
+/// aggregates (tests/spsc_ring_test.cc, tests/batch_exec_test.cc). With
+/// an OverloadPolicy installed, each shard enforces `max_groups` on its
+/// own table, so the pipeline retains at most num_shards * max_groups
+/// groups.
 ///
 /// Threading contract: Consume() from ONE router thread (the SPSC rings
 /// are single-producer/single-consumer by construction); Quiesce(),
 /// Finish() and the stat accessors from that same thread after ingest
-/// stops. packets_consumed() alone is safe at any time.
+/// stops. Consume() after Quiesce() aborts. packets_consumed() alone is
+/// safe at any time.
 class PipelinedQueryExecution {
  public:
   struct Options {
@@ -538,10 +396,6 @@ class PipelinedQueryExecution {
     std::size_t ring_capacity = 64;
     /// Rows per gathered sub-batch handed to a worker.
     std::size_t batch_capacity = PacketBatch::kDefaultCapacity;
-    /// Pins worker i to core (i + 1) % hardware_concurrency (Linux
-    /// only; ignored elsewhere and under schedule exploration). The
-    /// router stays on the caller's thread, so core 0 is left to it.
-    bool pin_cores = false;
   };
 
   /// The plan must outlive this object. Workers start immediately.
@@ -589,7 +443,7 @@ class PipelinedQueryExecution {
   struct Shard;  // rings + worker + owned QueryExecution (engine.cc)
 
   void DispatchPending(Shard& shard);
-  void WorkerLoop(Shard& shard, std::size_t index);
+  void WorkerLoop(Shard& shard);
   std::uint64_t SumQuiesced(std::uint64_t (QueryExecution::*getter)()
                                 const) const;
 

@@ -1,9 +1,10 @@
 // Differential tests for the batched columnar ingest path and the
-// sharded parallel execution (DESIGN.md §8): the batched and sharded
-// engines must reproduce the per-tuple reference *bit for bit* — same
-// result values (double bit patterns included), same counters, same
-// shedding decisions — because the batch path reorders no FP operation
-// and shard routing keeps every group's update sequence intact.
+// pipelined parallel execution (DESIGN.md §8, §14): the batched and
+// sharded engines must reproduce the per-tuple reference *bit for bit*
+// — same result values (double bit patterns included), same counters,
+// same shedding decisions — because the batch path reorders no FP
+// operation and shard routing keeps every group's update sequence
+// intact.
 
 #include <bit>
 #include <cstdint>
@@ -353,21 +354,13 @@ TEST(BatchDifferentialTest, OddBatchSizesAndPartialTails) {
   }
 }
 
-TEST(BatchDifferentialTest, ConcurrentFacadeBatchEntryPoint) {
-  auto plan = MustCompile(kBuiltinsQuery, {});
-  ASSERT_NE(plan, nullptr);
-  const std::vector<Packet> trace = MakeTrace(5000);
+// --- Sharded (pipelined) execution -----------------------------------------
 
-  auto reference = plan->NewExecution();
-  for (const Packet& p : trace) reference->Consume(p);
-
-  ConcurrentQueryExecution concurrent(*plan);
-  for (const PacketBatch& b : Rebatch(trace, 256)) concurrent.Consume(b);
-  EXPECT_EQ(concurrent.packets_consumed(), trace.size());
-  ExpectBitIdentical(concurrent.Finish(), reference->Finish());
+PipelinedQueryExecution::Options Shards(std::size_t num_shards) {
+  PipelinedQueryExecution::Options options;
+  options.num_shards = num_shards;
+  return options;
 }
-
-// --- Sharded execution ------------------------------------------------------
 
 // One-level sharding is bit-exact even for fractional doubles: every
 // group lives wholly in one shard and receives its updates in stream
@@ -385,9 +378,10 @@ TEST(ShardedDifferentialTest, OneLevelBitIdenticalAcrossShardCounts) {
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}}) {
-    ShardedQueryExecution sharded(*plan, shards);
+    PipelinedQueryExecution sharded(*plan, Shards(shards));
     for (const PacketBatch& b : batches) sharded.Consume(b);
     EXPECT_EQ(sharded.packets_consumed(), trace.size());
+    sharded.Quiesce();
     sharded.CheckInvariants();
     const std::uint64_t tuples = sharded.tuples_aggregated();
     ExpectBitIdentical(sharded.Finish(), want);
@@ -412,13 +406,14 @@ TEST(ShardedDifferentialTest, TwoLevelIntegerExactAggregates) {
   for (const Packet& p : trace) reference->Consume(p);
   const ResultSet want = reference->Finish();
 
-  ShardedQueryExecution sharded(*plan, 4);
+  PipelinedQueryExecution sharded(*plan, Shards(4));
   for (const PacketBatch& b : Rebatch(trace, 256)) sharded.Consume(b);
+  sharded.Quiesce();
   sharded.CheckInvariants();
   ExpectBitIdentical(sharded.Finish(), want);
 }
 
-// A single shard is the non-sharded engine behind a router: with a
+// A single shard is the non-sharded engine behind the router: with a
 // shedding policy installed it must make byte-for-byte the same
 // decisions (including shedding during the Finish() flush).
 TEST(ShardedDifferentialTest, SingleShardWithPolicyMatchesPerTuple) {
@@ -436,9 +431,10 @@ TEST(ShardedDifferentialTest, SingleShardWithPolicyMatchesPerTuple) {
   reference->SetOverloadPolicy(policy);
   for (const Packet& p : trace) reference->Consume(p);
 
-  ShardedQueryExecution sharded(*plan, 1);
+  PipelinedQueryExecution sharded(*plan, Shards(1));
   sharded.SetOverloadPolicy(policy);
   for (const PacketBatch& b : Rebatch(trace, 256)) sharded.Consume(b);
+  sharded.Quiesce();
 
   EXPECT_EQ(sharded.tuples_aggregated(), reference->tuples_aggregated());
   EXPECT_EQ(sharded.groups_shed(), reference->groups_shed());
@@ -459,11 +455,12 @@ TEST(ShardedDifferentialTest, PerShardSheddingBound) {
   policy.max_groups = 10;
   policy.decay_alpha = 0.05;
 
-  ShardedQueryExecution sharded(*plan, 4);
+  PipelinedQueryExecution sharded(*plan, Shards(4));
   sharded.SetOverloadPolicy(policy);
   for (const PacketBatch& b : Rebatch(MakeTrace(20000), 256)) {
     sharded.Consume(b);
   }
+  sharded.Quiesce();
   sharded.CheckInvariants();  // audits <= max_groups per shard
   EXPECT_LE(sharded.GroupCount(), 4 * policy.max_groups);
   EXPECT_GT(sharded.groups_shed(), 0u);

@@ -1,7 +1,7 @@
 // Coverage for paths the focused suites leave untouched: TablePrinter's
 // rendered output, deterministic arrival spacing in the generator,
-// sliding windows under out-of-order delivery, query bundles holding
-// UDAFs, EhSum value bounds, and the Cohen–Strauss grid contract.
+// sliding windows under out-of-order delivery, EhSum value bounds, and
+// the Cohen–Strauss grid contract.
 
 #include <cstdio>
 #include <map>
@@ -10,9 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dsms/bundle.h"
 #include "dsms/netgen.h"
-#include "dsms/udafs.h"
 #include "dsms/windows.h"
 #include "sketch/backward_sum.h"
 #include "sketch/exp_histogram.h"
@@ -100,33 +98,6 @@ TEST(SlidingRunnerTest, JitteredTraceWithSlackLosesNothing) {
   runner.Flush();
   EXPECT_EQ(runner.late_drops(), 0u);
   EXPECT_EQ(total, static_cast<std::int64_t>(packets.size()));
-}
-
-TEST(QueryBundleTest, UdafAndBuiltinSideBySide) {
-  dsms::RegisterPaperUdafs();
-  dsms::TraceConfig cfg;
-  cfg.rate_pps = 2000.0;
-  cfg.seed = 22;
-  dsms::PacketGenerator gen(cfg);
-
-  std::string error;
-  dsms::QueryBundle bundle;
-  ASSERT_GE(bundle.Add("select destPort, count(*) from TCP group by destPort",
-                       &error),
-            0)
-      << error;
-  ASSERT_GE(bundle.Add(
-                "select tb, FDHH(destIP, (time % 60)*(time % 60) + 1, 0.1, "
-                "0.02) from TCP group by time/60 as tb",
-                &error),
-            0)
-      << error;
-  for (const auto& p : gen.Generate(20000)) bundle.Consume(p);
-  const auto results = bundle.FinishAll();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results[0].rows.empty());
-  ASSERT_FALSE(results[1].rows.empty());
-  EXPECT_NE(results[1].rows[0][1].AsString().find(':'), std::string::npos);
 }
 
 TEST(EhSumTest, ValueAtBitBoundary) {

@@ -406,10 +406,13 @@ TEST(EngineIntegrationTest, ShardedIngestPopulatesShardFamilies) {
     before[static_cast<std::size_t>(s)] = std::isnan(v) ? 0.0 : v;
   }
 
-  dsms::ShardedQueryExecution sharded(*plan, 2);
+  dsms::PipelinedQueryExecution::Options options;
+  options.num_shards = 2;
+  dsms::PipelinedQueryExecution sharded(*plan, options);
   sharded.Consume(batch);
+  sharded.Quiesce();
   const std::uint64_t aggregated = sharded.tuples_aggregated();
-  sharded.Finish();  // quiesce point: shard deltas publish here
+  sharded.Finish();  // merge point: shard deltas publish here
 
   metrics::MetricsRegistry::Instance().RenderPrometheus(&text);
   double delta = 0.0;

@@ -10,11 +10,12 @@
 //     directly): the publish memory-order contract — whose relaxed
 //     mutation the explorer must catch — plus wraparound and full/empty
 //     ABA exploration of the actual SpscRing;
-//   * pipeline differentials: Finish() bit-identical to the
-//     single-threaded reference (single-level plans) and to the
-//     mutex-router ShardedQueryExecution (two-level plans), with tiny
+//   * pipeline differentials against the single-threaded reference:
+//     Finish() bit-identical for single-level plans, exact on the
+//     integer-valued columns for two-level plans, with tiny
 //     rings/batches so backpressure and wraparound are on the path —
-//     including under schedule exploration.
+//     including under schedule exploration;
+//   * death tests: Consume() after Quiesce()/Finish() aborts.
 //
 // Replay: FWDECAY_SCHED_REPLAY tokens naming ring_publish[_fixed] /
 // ring_wrap / ring_full_empty re-run that schedule here (this binary's
@@ -50,7 +51,6 @@ using dsms::Packet;
 using dsms::PacketBatch;
 using dsms::PipelinedQueryExecution;
 using dsms::ResultSet;
-using dsms::ShardedQueryExecution;
 using dsms::Value;
 
 // --------------------------------------------------------------------
@@ -341,11 +341,11 @@ TEST(PipelinedExecutionTest, FinishBitIdenticalToSingleThreadReference) {
   }
 }
 
-// Two-level plans: per-shard streams are identical between the mutex'd
-// router and the pipeline (same remixed hash, same stream order), and
-// aggregation state is invariant to batch segmentation — so the two
-// executions stay bit-identical even through low-level evictions.
-TEST(PipelinedExecutionTest, MatchesMutexRouterBitExactTwoLevel) {
+// Two-level plans: each shard's low-level table evicts at different
+// points than the single table, so fractional doubles (avg) may differ
+// in the last ulp; the integer-valued columns stay exact (DESIGN.md
+// §8.3). Four shards with small low tables keep evictions on the path.
+TEST(PipelinedExecutionTest, TwoLevelFourShardsMatchReferenceIntegerExact) {
   dsms::RegisterPaperUdafs();
   std::string error;
   CompiledQuery::Options copts;
@@ -357,10 +357,9 @@ TEST(PipelinedExecutionTest, MatchesMutexRouterBitExactTwoLevel) {
   const std::vector<PacketBatch> feed =
       MakeFeed(/*n_packets=*/4096, /*batch_capacity=*/128,
                /*port_spread=*/251);
-
-  ShardedQueryExecution sharded(*plan, /*num_shards=*/4);
-  for (const PacketBatch& b : feed) sharded.Consume(b);
-  const ResultSet want = sharded.Finish();
+  auto reference = plan->NewExecution();
+  for (const PacketBatch& b : feed) reference->Consume(b);
+  const ResultSet want = reference->Finish();
 
   PipelinedQueryExecution::Options options;
   options.num_shards = 4;
@@ -368,15 +367,28 @@ TEST(PipelinedExecutionTest, MatchesMutexRouterBitExactTwoLevel) {
   options.batch_capacity = 64;
   PipelinedQueryExecution pipeline(*plan, options);
   for (const PacketBatch& b : feed) pipeline.Consume(b);
+  pipeline.Quiesce();
+  EXPECT_GT(pipeline.low_level_evictions(), 0u);
+  EXPECT_EQ(pipeline.tuples_aggregated(), reference->tuples_aggregated());
   const ResultSet got = pipeline.Finish();
-  EXPECT_TRUE(BitIdentical(got, want))
-      << "--- got ---\n" << got.ToString()
-      << "--- want ---\n" << want.ToString();
+
+  ASSERT_EQ(got.columns, want.columns);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (std::size_t r = 0; r < got.rows.size(); ++r) {
+    // srcPort, count(*), sum(len).
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_TRUE(got.rows[r][c] == want.rows[r][c])
+          << "row " << r << " col " << c << ": "
+          << got.rows[r][c].ToString() << " vs "
+          << want.rows[r][c].ToString();
+    }
+  }
 }
 
-// Overload shedding is a per-shard decision on the per-shard stream, so
-// the pipeline and the mutex'd router shed the same groups; the frozen
-// post-Quiesce stats and the group-table audit must agree.
+// Overload shedding is a per-shard decision on the per-shard stream. At
+// one shard the pipeline is the single-threaded engine behind the
+// router, so its frozen post-Quiesce stats and its Finish() match the
+// reference exactly; at two shards each shard bounds its own table.
 TEST(PipelinedExecutionTest, OverloadPolicyStatsAndAuditAfterQuiesce) {
   dsms::RegisterPaperUdafs();
   std::string error;
@@ -389,29 +401,67 @@ TEST(PipelinedExecutionTest, OverloadPolicyStatsAndAuditAfterQuiesce) {
   policy.max_groups = 4;
   policy.decay_alpha = 0.01;
 
-  ShardedQueryExecution sharded(*plan, /*num_shards=*/2);
-  sharded.SetOverloadPolicy(policy);
-  for (const PacketBatch& b : feed) sharded.Consume(b);
+  auto reference = plan->NewExecution();
+  reference->SetOverloadPolicy(policy);
+  for (const PacketBatch& b : feed) reference->Consume(b);
+  const std::uint64_t want_tuples = reference->tuples_aggregated();
+  const std::uint64_t want_groups_shed = reference->groups_shed();
+  const std::uint64_t want_tuples_shed = reference->tuples_shed();
+  const ResultSet want = reference->Finish();
 
-  PipelinedQueryExecution::Options options;
-  options.num_shards = 2;
-  options.ring_capacity = 4;
-  options.batch_capacity = 32;
-  PipelinedQueryExecution pipeline(*plan, options);
-  pipeline.SetOverloadPolicy(policy);
-  for (const PacketBatch& b : feed) pipeline.Consume(b);
-  pipeline.Quiesce();
-  pipeline.Quiesce();  // idempotent
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    PipelinedQueryExecution::Options options;
+    options.num_shards = shards;
+    options.ring_capacity = 4;
+    options.batch_capacity = 32;
+    PipelinedQueryExecution pipeline(*plan, options);
+    pipeline.SetOverloadPolicy(policy);
+    for (const PacketBatch& b : feed) pipeline.Consume(b);
+    pipeline.Quiesce();
+    pipeline.Quiesce();  // idempotent
 
-  EXPECT_EQ(pipeline.packets_consumed(), 2048u);
-  EXPECT_LE(pipeline.GroupCount(), 2u * policy.max_groups);
-  EXPECT_GT(pipeline.groups_shed(), 0u);
-  EXPECT_EQ(pipeline.tuples_aggregated(), sharded.tuples_aggregated());
-  EXPECT_EQ(pipeline.groups_shed(), sharded.groups_shed());
-  EXPECT_EQ(pipeline.tuples_shed(), sharded.tuples_shed());
-  pipeline.CheckInvariants();
+    EXPECT_EQ(pipeline.packets_consumed(), 2048u) << shards << " shards";
+    EXPECT_LE(pipeline.GroupCount(), shards * policy.max_groups);
+    EXPECT_GT(pipeline.groups_shed(), 0u) << shards << " shards";
+    pipeline.CheckInvariants();
+    if (shards == 1) {
+      EXPECT_EQ(pipeline.tuples_aggregated(), want_tuples);
+      EXPECT_EQ(pipeline.groups_shed(), want_groups_shed);
+      EXPECT_EQ(pipeline.tuples_shed(), want_tuples_shed);
+      const ResultSet got = pipeline.Finish();
+      EXPECT_TRUE(BitIdentical(got, want))
+          << "--- got ---\n" << got.ToString()
+          << "--- want ---\n" << want.ToString();
+    }
+  }
+}
 
-  EXPECT_TRUE(BitIdentical(pipeline.Finish(), sharded.Finish()));
+// After Quiesce() the workers are joined: a later batch would be lost in
+// the pending sub-batch or spin forever on a full ring, so Consume()
+// must abort — in release builds too (FWDECAY_CHECK, not a DCHECK).
+TEST(PipelinedExecutionDeathTest, ConsumeAfterQuiesceOrFinishAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string error;
+  auto plan = CompiledQuery::Compile(kPipelineQuery, &error, {});
+  ASSERT_NE(plan, nullptr) << error;
+  const std::vector<PacketBatch> feed =
+      MakeFeed(/*n_packets=*/256, /*batch_capacity=*/64, /*port_spread=*/13);
+  EXPECT_DEATH(
+      {
+        PipelinedQueryExecution pipeline(*plan, {});
+        pipeline.Consume(feed[0]);
+        pipeline.Quiesce();
+        pipeline.Consume(feed[1]);
+      },
+      "Consume after Quiesce/Finish");
+  EXPECT_DEATH(
+      {
+        PipelinedQueryExecution pipeline(*plan, {});
+        pipeline.Consume(feed[0]);
+        (void)pipeline.Finish();
+        pipeline.Consume(feed[1]);
+      },
+      "Consume after Quiesce/Finish");
 }
 
 // Schedule-explored pipeline differential: a tiny pipeline (2 workers,
