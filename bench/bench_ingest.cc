@@ -268,6 +268,11 @@ int main(int argc, char** argv) {
   for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
     results.push_back(RunPipeline(*plan, batches, trace.size(), shards));
   }
+  // A --shards count that is not a power of two runs too: it routes
+  // through the scalar-modulo shard index.
+  if ((max_shards & (max_shards - 1)) != 0) {
+    results.push_back(RunPipeline(*plan, batches, trace.size(), max_shards));
+  }
 
   const ModeResult& reference = results.front();
   CheckAgainstReference(results[1], reference, /*all_columns=*/true);

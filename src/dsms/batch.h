@@ -57,29 +57,20 @@ class PacketBatch {
 
   /// Bulk gather: appends rows rows[0..n) of `src` in order. The
   /// pipeline's routing stage builds per-shard sub-batches with this —
-  /// one pass per column over the gathered indices, no per-row Packet
-  /// materialization. The caller guarantees the rows fit
-  /// (size() + n <= capacity()) and are valid indices into src.
+  /// each column is resized once and filled through its raw pointer, no
+  /// per-row Packet materialization and no per-element push_back. The
+  /// caller guarantees the rows fit (size() + n <= capacity()) and are
+  /// valid indices into src.
   void AppendSelected(const PacketBatch& src, const std::uint32_t* rows,
                       std::size_t n) {
     FWDECAY_DCHECK(size() + n <= capacity_);
-    for (std::size_t i = 0; i < n; ++i) time_.push_back(src.time_[rows[i]]);
-    for (std::size_t i = 0; i < n; ++i) {
-      src_ip_.push_back(src.src_ip_[rows[i]]);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      dest_ip_.push_back(src.dest_ip_[rows[i]]);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      src_port_.push_back(src.src_port_[rows[i]]);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      dest_port_.push_back(src.dest_port_[rows[i]]);
-    }
-    for (std::size_t i = 0; i < n; ++i) len_.push_back(src.len_[rows[i]]);
-    for (std::size_t i = 0; i < n; ++i) {
-      protocol_.push_back(src.protocol_[rows[i]]);
-    }
+    GatherInto(&time_, src.time_, rows, n);
+    GatherInto(&src_ip_, src.src_ip_, rows, n);
+    GatherInto(&dest_ip_, src.dest_ip_, rows, n);
+    GatherInto(&src_port_, src.src_port_, rows, n);
+    GatherInto(&dest_port_, src.dest_port_, rows, n);
+    GatherInto(&len_, src.len_, rows, n);
+    GatherInto(&protocol_, src.protocol_, rows, n);
   }
 
   /// Empties the batch; column capacity is retained.
@@ -122,6 +113,19 @@ class PacketBatch {
   const std::uint8_t* protocol() const { return protocol_.data(); }
 
  private:
+  // dst grows by n in one resize (within the reserved capacity, so no
+  // reallocation); the gathered values are then stored through the raw
+  // pointer.
+  template <typename T>
+  static void GatherInto(std::vector<T>* dst, const std::vector<T>& src,
+                         const std::uint32_t* rows, std::size_t n) {
+    const std::size_t base = dst->size();
+    dst->resize(base + n);
+    T* out = dst->data() + base;
+    const T* in = src.data();
+    for (std::size_t i = 0; i < n; ++i) out[i] = in[rows[i]];
+  }
+
   std::size_t capacity_;
   std::vector<double> time_;
   std::vector<std::uint32_t> src_ip_;

@@ -43,15 +43,28 @@ std::uint64_t HashKey(const std::vector<Value>& key) {
 }
 
 // Group hash per selected row — HashKey replicated over the dense key
-// columns. The ubiquitous single-int64-key shape (srcIP, time/60, a
-// port) takes the vectorized kernel, which is bit-identical to
-// HashCombine(seed, HashU64(k, 1)); everything else (doubles, strings,
-// composite keys) walks the columns per row.
+// columns. Keys whose columns are all int64 (srcIP, time/60, ports and
+// any tuple of them) are hashed over the raw arrays: column 0 through
+// the vectorized kernel, which is bit-identical to
+// HashCombine(seed, HashU64(k, 1)), and each later column folded in as
+// HashCombine(h, HashU64(k, 1)) — exactly Value::Hash's int arm.
+// Double, string and mixed keys walk the columns per row.
 void ComputeGroupHashes(const std::vector<ValueColumn>& key_cols,
                         std::size_t num_groups, std::size_t n,
                         std::uint64_t* out) {
-  if (num_groups == 1 && key_cols[0].rep() == ValueColumn::Rep::kI64) {
+  bool all_i64 = num_groups > 0;
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    all_i64 = all_i64 && key_cols[g].rep() == ValueColumn::Rep::kI64;
+  }
+  if (all_i64) {
     simd::GroupHashI64(key_cols[0].i64_data(), n, kGroupHashSeed, out);
+    for (std::size_t g = 1; g < num_groups; ++g) {
+      const std::int64_t* k = key_cols[g].i64_data();
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = HashCombine(out[i],
+                             HashU64(static_cast<std::uint64_t>(k[i]), 1));
+      }
+    }
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -434,7 +447,7 @@ struct QueryExecution::LowSlot {
 // vector capacities for the next admission. Tombstone-free: removal
 // backward-shifts the probe chain, so layout is a pure function of the
 // insertion sequence — but no observable order ever reads the layout
-// (Finish/MergeFrom/CheckpointBytes all sort by KeyLess, and the shed
+// (Finish/CheckpointBytes both sort by KeyLess, and the shed
 // victim is a deterministic (weight, KeyLess) minimum).
 struct QueryExecution::HighTable {
   std::vector<std::uint64_t> hashes;  // slot -> cached key hash
@@ -1023,52 +1036,9 @@ void QueryExecution::Reset() {
   flushed_tuples_shed_ = 0;
 }
 
-void QueryExecution::MergeFrom(QueryExecution& other) {
-  // Deterministic key order, so merged state (and any later snapshot)
-  // does not depend on the donor's table layout.
-  std::vector<Group*> groups;
-  groups.reserve(other.high_group_count_);
-  for (Group* g : other.high_->slots) {
-    if (g != nullptr) groups.push_back(g);
-  }
-  std::sort(groups.begin(), groups.end(), [](const Group* a, const Group* b) {
-    return KeyLess(a->key, b->key);
-  });
-  for (Group* g : groups) {
-    const std::uint64_t hash = HashKey(g->key);
-    Group* existing = high_->Find(hash, g->key);
-    if (existing == nullptr) {
-      // Whole-group move: no aggregate Merge, so even non-mergeable
-      // UDAFs survive as long as the donor's keys are disjoint (shard
-      // routing guarantees that). The donor shell's contents move into
-      // a shell of *this* table's arena; the emptied donor shell goes
-      // back to the donor's pool in Clear() below.
-      Group* mine = high_->AcquireShell();
-      *mine = std::move(*g);
-      high_->Insert(hash, mine);
-      ++high_group_count_;
-    } else {
-      for (std::size_t slot = 0; slot < existing->aggs.size(); ++slot) {
-        existing->aggs[slot]->Merge(*g->aggs[slot]);
-      }
-      existing->weight += g->weight;
-      existing->tuples += g->tuples;
-    }
-  }
-  other.high_->Clear();
-  other.high_group_count_ = 0;
-}
-
-ResultSet QueryExecution::Finish() {
-  // Flush remaining low-level partial groups.
-  FlushLowLevel();
-  // Publish the tail counter deltas (including the evictions the flush
-  // above just produced) before results are read.
-  FlushMetrics();
-
-  ResultSet result;
-  for (const auto& out : plan_->outputs_) result.columns.push_back(out.column_name);
-
+void QueryExecution::FinalizeGroups(
+    std::vector<std::vector<Value>>* rows,
+    std::vector<const std::vector<Value>*>* keys) {
   std::vector<Group*> groups;
   groups.reserve(high_group_count_);
   for (Group* g : high_->slots) {
@@ -1091,26 +1061,47 @@ ResultSet QueryExecution::Finish() {
     for (const auto& out : plan_->outputs_) {
       row.push_back(EvalPostExpr(*out.post, agg_values, g->key));
     }
-    result.rows.push_back(std::move(row));
+    rows->push_back(std::move(row));
+    if (keys != nullptr) keys->push_back(&g->key);
   }
+}
 
+ResultSet CompiledQuery::EmptyResult() const {
+  ResultSet result;
+  for (const auto& out : outputs_) result.columns.push_back(out.column_name);
+  return result;
+}
+
+void CompiledQuery::OrderAndLimit(
+    std::vector<std::vector<Value>>* rows) const {
   // ORDER BY (stable, lexicographic over the listed columns); the rows
   // are already in group-key order, which remains the tiebreaker.
-  if (!plan_->order_by_.empty()) {
+  if (!order_by_.empty()) {
     std::stable_sort(
-        result.rows.begin(), result.rows.end(),
+        rows->begin(), rows->end(),
         [this](const std::vector<Value>& a, const std::vector<Value>& b) {
-          for (const auto& [col, desc] : plan_->order_by_) {
+          for (const auto& [col, desc] : order_by_) {
             const int cmp = Compare(a[col], b[col]);
             if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
           }
           return false;
         });
   }
-  if (plan_->limit_.has_value() &&
-      result.rows.size() > static_cast<std::size_t>(*plan_->limit_)) {
-    result.rows.resize(static_cast<std::size_t>(*plan_->limit_));
+  if (limit_.has_value() && rows->size() > static_cast<std::size_t>(*limit_)) {
+    rows->resize(static_cast<std::size_t>(*limit_));
   }
+}
+
+ResultSet QueryExecution::Finish() {
+  // Flush remaining low-level partial groups.
+  FlushLowLevel();
+  // Publish the tail counter deltas (including the evictions the flush
+  // above just produced) before results are read.
+  FlushMetrics();
+
+  ResultSet result = plan_->EmptyResult();
+  FinalizeGroups(&result.rows, /*keys=*/nullptr);
+  plan_->OrderAndLimit(&result.rows);
   return result;
 }
 
@@ -1589,21 +1580,53 @@ ResultSet PipelinedQueryExecution::Finish() {
                     "PipelinedQueryExecution::Finish is one-shot");
   Quiesce();
   finished_ = true;
-  // Each shard flushes its low level under its own policy (so per-shard
-  // shedding bounds apply through the flush, exactly as in the
-  // single-threaded Finish), then donates its groups to a fresh
-  // policy-free execution. Shard key spaces are disjoint, so the
-  // donation is a pure move — no aggregate Merge, no FP reassociation,
-  // no re-shedding (Section VI-B).
-  std::unique_ptr<QueryExecution> merged = plan_->NewExecution();
-  for (auto& shard : shards_) {
-    shard->exec->FlushLowLevel();
-    // Publish the tail deltas now that the shard has quiesced, so a
-    // scrape right after Finish() sees counts matching the result set.
-    shard->exec->FlushMetrics();
-    merged->MergeFrom(*shard->exec);
+  // Each shard finalizes on its own thread: it flushes its low level
+  // under its own policy (so per-shard shedding bounds apply through the
+  // flush, exactly as in the single-threaded Finish), publishes its tail
+  // metric deltas, then sorts and finalizes its groups with HAVING. Shard
+  // key spaces are disjoint, so every group is finalized from exactly
+  // the state the single-threaded run would hold — no aggregate Merge,
+  // no FP reassociation, no re-shedding (Section VI-B).
+  struct Part {
+    std::vector<std::vector<Value>> rows;
+    std::vector<const std::vector<Value>*> keys;
+    std::size_t next = 0;
+  };
+  std::vector<Part> parts(shards_.size());
+  std::vector<sched::Thread> finishers;
+  finishers.reserve(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    finishers.emplace_back([exec = shards_[s]->exec.get(), part = &parts[s]] {
+      exec->FlushLowLevel();
+      exec->FlushMetrics();
+      exec->FinalizeGroups(&part->rows, &part->keys);
+    });
   }
-  return merged->Finish();
+  for (sched::Thread& finisher : finishers) finisher.Join();
+  if (FWDECAY_METRICS_ENABLED) {
+    EngineMetrics::Get().groups->Set(static_cast<double>(GroupCount()));
+  }
+
+  // N-way merge of the key-sorted shard lists: the keys are disjoint, so
+  // taking the KeyLess-smallest head each step reproduces the single
+  // execution's key order; ORDER BY and LIMIT then run on that order.
+  ResultSet result = plan_->EmptyResult();
+  std::size_t total = 0;
+  for (const Part& part : parts) total += part.rows.size();
+  result.rows.reserve(total);
+  for (std::size_t r = 0; r < total; ++r) {
+    Part* head = nullptr;
+    for (Part& part : parts) {
+      if (part.next < part.keys.size() &&
+          (head == nullptr ||
+           KeyLess(*part.keys[part.next], *head->keys[head->next]))) {
+        head = &part;
+      }
+    }
+    result.rows.push_back(std::move(head->rows[head->next++]));
+  }
+  plan_->OrderAndLimit(&result.rows);
+  return result;
 }
 
 std::uint64_t PipelinedQueryExecution::SumQuiesced(

@@ -102,7 +102,7 @@ class CompiledQuery {
 
  private:
   friend class QueryExecution;
-  friend class PipelinedQueryExecution;  // router reads filter + group exprs
+  friend class PipelinedQueryExecution;  // router + merged Finish use the plan
 
   struct OutputItem {
     // Bound post-aggregation expression: kGroupRef/kAggRef placeholders
@@ -120,6 +120,13 @@ class CompiledQuery {
   // stage shared by QueryExecution::Consume and the pipeline's router.
   std::size_t SelectRows(const PacketBatch& batch, std::uint32_t* sel,
                          BatchEvalScratch* scratch) const;
+
+  // A result table carrying this plan's output column names, no rows.
+  ResultSet EmptyResult() const;
+  // The stable ORDER BY (group-key order, which the rows arrive in, stays
+  // the tiebreaker), then LIMIT. Shared by QueryExecution::Finish and the
+  // pipeline's merged Finish.
+  void OrderAndLimit(std::vector<std::vector<Value>>* rows) const;
 
   Options options_;
   std::uint8_t protocol_filter_ = 0;     // 0 = all, else exact match
@@ -260,15 +267,15 @@ class QueryExecution {
   // this execution's rows, so every batch row is aggregated.
   void ConsumeBatch(const PacketBatch& batch, bool prefiltered);
   // Evicts every occupied low-level slot to the high level (the first
-  // phase of Finish(); shards flush before merging).
+  // phase of Finish(); each pipeline shard flushes its own).
   void FlushLowLevel();
-  // Moves/merges every high-level group out of `other` into this
-  // execution, in deterministic key order. Groups absent here are moved
-  // wholesale (no aggregate Merge call — works for non-mergeable UDAFs
-  // as long as the key spaces are disjoint, which shard routing
-  // guarantees); colliding keys merge slot by slot. `other` is left with
-  // an empty high level. Shedding policy is NOT consulted.
-  void MergeFrom(QueryExecution& other);
+  // Sorts the high-level groups by key and appends one finalized output
+  // row per group that passes HAVING to *rows. With `keys` non-null it
+  // also appends each emitted row's group key (pointers into this
+  // execution's groups, valid until it next ingests or resets), which
+  // the pipeline's N-way merge orders the shards' rows by.
+  void FinalizeGroups(std::vector<std::vector<Value>>* rows,
+                      std::vector<const std::vector<Value>*>* keys);
   void EvictToHigh(LowSlot& slot);
   double ForwardWeight(double ts) const;
   void ShedLowestWeightGroup();
@@ -368,13 +375,15 @@ class QueryExecution {
 /// allocation-free end to end.
 ///
 /// A group's key always routes to the same shard, so every group is
-/// owned wholly by one shard. Finish() runs off the hot path: it
-/// quiesces the pipeline (flush partial sub-batches, signal stop, join
-/// workers), flushes each shard's low level and moves the disjoint
-/// group sets into one merged execution. Forward decay makes this
-/// exact: group state is a sum of static weights g(t_i - L), so a
-/// partitioned sum equals the stream's sum with no rescaling (Section
-/// VI-B). Single-level plans are bit-identical to the single-threaded
+/// owned wholly by one shard. Finish() quiesces the pipeline (flush
+/// partial sub-batches, signal stop, join workers), then finalizes the
+/// shards in parallel — one thread per shard flushes that shard's low
+/// level and turns its key-sorted groups into result rows — and
+/// N-way-merges the disjoint, key-sorted row lists on the calling
+/// thread before ORDER BY and LIMIT. Forward decay makes this exact:
+/// group state is a sum of static weights g(t_i - L), so a partitioned
+/// sum equals the stream's sum with no rescaling (Section VI-B).
+/// Single-level plans are bit-identical to the single-threaded
 /// reference; two-level plans match it exactly on integer-valued
 /// aggregates (tests/spsc_ring_test.cc, tests/batch_exec_test.cc). With
 /// an OverloadPolicy installed, each shard enforces `max_groups` on its
@@ -420,8 +429,8 @@ class PipelinedQueryExecution {
   /// Finish() calls it implicitly.
   void Quiesce();
 
-  /// Quiesces, then merges the disjoint shard states and finalizes.
-  /// Call once, after ingest has stopped.
+  /// Quiesces, finalizes every shard on its own thread, and merges the
+  /// shards' key-sorted rows. Call once, after ingest has stopped.
   ResultSet Finish();
 
   /// Packets offered to Consume() (router-level, pre-filter).

@@ -168,6 +168,64 @@ TEST(PacketBatchTest, ColumnsMirrorRows) {
   }
 }
 
+// Every column of dst[base + i] must equal src.Get(rows[i]).
+void ExpectGathered(const PacketBatch& dst, std::size_t base,
+                    const PacketBatch& src,
+                    const std::vector<std::uint32_t>& rows) {
+  ASSERT_GE(dst.size(), base + rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Packet got = dst.Get(base + i);
+    const Packet want = src.Get(rows[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.time),
+              std::bit_cast<std::uint64_t>(want.time))
+        << "row " << i;
+    EXPECT_EQ(got.src_ip, want.src_ip) << "row " << i;
+    EXPECT_EQ(got.dest_ip, want.dest_ip) << "row " << i;
+    EXPECT_EQ(got.src_port, want.src_port) << "row " << i;
+    EXPECT_EQ(got.dest_port, want.dest_port) << "row " << i;
+    EXPECT_EQ(got.len, want.len) << "row " << i;
+    EXPECT_EQ(got.protocol, want.protocol) << "row " << i;
+  }
+}
+
+// AppendSelected against the row-wise Get() oracle: onto an empty and a
+// non-empty batch, with n = 0, filling to exactly capacity, and after
+// Clear() (the recycled-batch path the pipeline's router takes).
+TEST(PacketBatchTest, AppendSelectedMatchesRowGather) {
+  const std::vector<Packet> trace = MakeTrace(64);
+  PacketBatch src(64);
+  for (const Packet& p : trace) src.Append(p);
+  const std::vector<std::uint32_t> rows = {63, 0, 7, 7, 31, 2, 58, 1, 40};
+  const std::vector<std::uint32_t> head = {5, 9, 12};
+
+  PacketBatch dst(12);
+  dst.AppendSelected(src, rows.data(), 0);
+  EXPECT_TRUE(dst.empty());
+
+  dst.AppendSelected(src, rows.data(), rows.size());
+  EXPECT_EQ(dst.size(), rows.size());
+  ExpectGathered(dst, 0, src, rows);
+
+  dst.AppendSelected(src, head.data(), 0);
+  EXPECT_EQ(dst.size(), rows.size());
+
+  // Onto a non-empty batch, landing exactly on capacity.
+  dst.AppendSelected(src, head.data(), head.size());
+  EXPECT_TRUE(dst.full());
+  EXPECT_EQ(dst.size(), dst.capacity());
+  ExpectGathered(dst, 0, src, rows);
+  ExpectGathered(dst, rows.size(), src, head);
+
+  dst.Clear();
+  EXPECT_TRUE(dst.empty());
+  EXPECT_EQ(dst.capacity(), 12u);
+  dst.AppendSelected(src, head.data(), head.size());
+  dst.AppendSelected(src, rows.data(), rows.size());
+  EXPECT_TRUE(dst.full());
+  ExpectGathered(dst, 0, src, head);
+  ExpectGathered(dst, head.size(), src, rows);
+}
+
 // --- Batched expression evaluation ------------------------------------------
 
 TEST(BatchEvalTest, ExprBatchMatchesPerTuple) {
@@ -464,6 +522,75 @@ TEST(ShardedDifferentialTest, PerShardSheddingBound) {
   sharded.CheckInvariants();  // audits <= max_groups per shard
   EXPECT_LE(sharded.GroupCount(), 4 * policy.max_groups);
   EXPECT_GT(sharded.groups_shed(), 0u);
+}
+
+// --- Group-key hash consistency ---------------------------------------------
+
+// The batched key hash (typed raw-array path for all-int64 keys, per-row
+// Value path otherwise) must equal HashKey over the materialized key,
+// which CheckInvariants() recomputes through Value::Hash and which
+// Restore() files restored groups under. A divergence aborts the audit,
+// or splits a group in two once ingest resumes after a restore — either
+// way the run below stops matching the uninterrupted one.
+void RunKeyHashRoundTrip(const std::string& gsql) {
+  for (const bool two_level : {false, true}) {
+    SCOPED_TRACE(std::string(two_level ? "two-level: " : "one-level: ") +
+                 gsql);
+    CompiledQuery::Options options;
+    options.two_level = two_level;
+    options.low_level_slots = 64;
+    auto plan = MustCompile(gsql, options);
+    ASSERT_NE(plan, nullptr);
+    const std::vector<PacketBatch> batches = Rebatch(MakeTrace(12000), 256);
+    const std::size_t half = batches.size() / 2;
+
+    auto uninterrupted = plan->NewExecution();
+    for (const PacketBatch& b : batches) uninterrupted->Consume(b);
+    uninterrupted->CheckInvariants();
+
+    auto first = plan->NewExecution();
+    for (std::size_t i = 0; i < half; ++i) first->Consume(batches[i]);
+    first->CheckInvariants();
+    std::vector<std::uint8_t> image;
+    std::string error;
+    ASSERT_TRUE(first->CheckpointBytes(&image, &error)) << error;
+    auto resumed = plan->NewExecution();
+    ASSERT_TRUE(resumed->RestoreBytes(image.data(), image.size(), &error))
+        << error;
+    resumed->CheckInvariants();
+    for (std::size_t i = half; i < batches.size(); ++i) {
+      resumed->Consume(batches[i]);
+    }
+    resumed->CheckInvariants();
+    EXPECT_EQ(resumed->GroupCount(), uninterrupted->GroupCount());
+    ExpectBitIdentical(resumed->Finish(), uninterrupted->Finish());
+  }
+}
+
+TEST(KeyHashTest, TwoColumnIntKeyMatchesValueHashThroughRestore) {
+  RunKeyHashRoundTrip(
+      "select destIP, destPort, count(*), sum(len), avg(len) from TCP "
+      "group by destIP, destPort");
+}
+
+TEST(KeyHashTest, ThreeColumnIntKeyMatchesValueHashThroughRestore) {
+  RunKeyHashRoundTrip(
+      "select srcIP, destIP, destPort, count(*), sum(len) from TCP "
+      "group by srcIP, destIP, destPort");
+}
+
+// Fallbacks: a double column or a string literal anywhere in the key
+// keeps the per-row Value hash.
+TEST(KeyHashTest, MixedIntDoubleKeyMatchesValueHashThroughRestore) {
+  RunKeyHashRoundTrip(
+      "select destPort, len * 0.5, count(*) from TCP "
+      "group by destPort, len * 0.5");
+}
+
+TEST(KeyHashTest, StringLiteralKeyMatchesValueHashThroughRestore) {
+  RunKeyHashRoundTrip(
+      "select destPort, count(*), sum(len) from TCP "
+      "group by destPort, 'tag'");
 }
 
 // --- Batch producers --------------------------------------------------------

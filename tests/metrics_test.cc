@@ -426,4 +426,52 @@ TEST(EngineIntegrationTest, ShardedIngestPopulatesShardFamilies) {
   EXPECT_EQ(delta, static_cast<double>(aggregated));
 }
 
+// Pipeline Finish() flushes every shard on its own finisher thread: the
+// shard gauges and eviction counters include that last low-level flush,
+// and the engine-wide group gauge reads the pipeline's total group count.
+TEST(EngineIntegrationTest, PipelineFinishPublishesGroupGauges) {
+  if (!FWDECAY_METRICS_ENABLED) GTEST_SKIP() << "metrics compiled out";
+  dsms::TraceConfig cfg;
+  cfg.seed = 17;
+  dsms::PacketGenerator gen(cfg);
+  const auto trace = gen.Generate(4000);
+  dsms::PacketBatch batch(trace.size());
+  for (const auto& p : trace) batch.Append(p);
+
+  std::string error;
+  dsms::CompiledQuery::Options copts;
+  copts.two_level = true;
+  copts.low_level_slots = 16;
+  auto plan = dsms::CompiledQuery::Compile(
+      "select destIP, destPort, count(*) from TCP group by destIP, destPort",
+      &error, copts);
+  ASSERT_NE(plan, nullptr) << error;
+
+  const auto shard_sum = [](const std::string& family) {
+    std::string text;
+    metrics::MetricsRegistry::Instance().RenderPrometheus(&text);
+    double sum = 0.0;
+    for (int s = 0; s < 2; ++s) {
+      const double v = MetricValue(
+          text, family + "{shard=\"" + std::to_string(s) + "\"}");
+      sum += std::isnan(v) ? 0.0 : v;
+    }
+    return sum;
+  };
+  const double evictions0 = shard_sum("fwdecay_shard_low_evictions_total");
+
+  dsms::PipelinedQueryExecution::Options options;
+  options.num_shards = 2;
+  dsms::PipelinedQueryExecution pipeline(*plan, options);
+  pipeline.Consume(batch);
+  const dsms::ResultSet result = pipeline.Finish();
+
+  EXPECT_EQ(GlobalMetric("fwdecay_engine_groups"),
+            static_cast<double>(result.rows.size()));
+  EXPECT_EQ(shard_sum("fwdecay_shard_groups"),
+            static_cast<double>(result.rows.size()));
+  EXPECT_EQ(shard_sum("fwdecay_shard_low_evictions_total") - evictions0,
+            static_cast<double>(pipeline.low_level_evictions()));
+}
+
 }  // namespace

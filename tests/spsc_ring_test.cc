@@ -436,6 +436,126 @@ TEST(PipelinedExecutionTest, OverloadPolicyStatsAndAuditAfterQuiesce) {
   }
 }
 
+// A two-column key over skewed ports: group sizes range widely, with
+// many ties, so HAVING, a tied descending ORDER BY and LIMIT all bite.
+constexpr char kMergeQuery[] =
+    "select srcIP, srcPort, count(*) as n, sum(len), avg(len) from TCP "
+    "group by srcIP, srcPort having count(*) > 3 order by n desc limit 25";
+
+std::vector<PacketBatch> MakeSkewedFeed(std::size_t n_packets,
+                                        std::size_t batch_capacity) {
+  Rng rng(0x5eedULL);
+  std::vector<PacketBatch> batches;
+  PacketBatch batch(batch_capacity);
+  for (std::size_t i = 0; i < n_packets; ++i) {
+    Packet p;
+    p.time = 0.001 * static_cast<double>(i + 1);
+    p.src_ip = 0x0a000001u + static_cast<std::uint32_t>(i % 5);
+    p.dest_ip = 0x0a00ff01u;
+    p.src_port = static_cast<std::uint16_t>(
+        1000 + rng.NextBounded(1 + rng.NextBounded(24)));
+    p.dest_port = 443;
+    p.len = 40 + static_cast<std::uint32_t>(rng.NextBounded(1400));
+    p.protocol = (i % 9 == 0) ? dsms::kProtoUdp : dsms::kProtoTcp;
+    batch.Append(p);
+    if (batch.full()) {
+      batches.push_back(std::move(batch));
+      batch = PacketBatch(batch_capacity);
+    }
+  }
+  if (!batch.empty()) batches.push_back(std::move(batch));
+  return batches;
+}
+
+// The shard-parallel Finish() finalizes each shard's key-sorted groups
+// on its own thread and N-way-merges them; HAVING runs per shard, ORDER
+// BY and LIMIT after the merge. Bit-identical to the single-threaded
+// reference at 1-4 shards — 3 is not a power of two, so routing takes
+// the scalar modulo — and the tied ORDER BY keys prove the merge
+// restores the exact group-key order the stable sort breaks ties by.
+TEST(PipelinedExecutionTest, ShardMergeHavingOrderLimitBitIdentical) {
+  dsms::RegisterPaperUdafs();
+  std::string error;
+  auto plan = CompiledQuery::Compile(kMergeQuery, &error, {});
+  ASSERT_NE(plan, nullptr) << error;
+  auto unlimited = CompiledQuery::Compile(
+      "select srcIP, srcPort, count(*) from TCP group by srcIP, srcPort",
+      &error, {});
+  ASSERT_NE(unlimited, nullptr) << error;
+
+  const std::vector<PacketBatch> feed =
+      MakeSkewedFeed(/*n_packets=*/6000, /*batch_capacity=*/128);
+  auto reference = plan->NewExecution();
+  auto all_groups = unlimited->NewExecution();
+  for (const PacketBatch& b : feed) {
+    reference->Consume(b);
+    all_groups->Consume(b);
+  }
+  const ResultSet want = reference->Finish();
+  const ResultSet every = all_groups->Finish();
+
+  // The fixture must exercise each clause: some group fails HAVING,
+  // more than LIMIT groups pass it, and the kept rows tie on n.
+  std::size_t failing = 0;
+  for (const auto& row : every.rows) failing += row[2].AsInt() <= 3 ? 1 : 0;
+  ASSERT_GT(failing, 0u);
+  ASSERT_GT(every.rows.size() - failing, 25u);
+  ASSERT_EQ(want.rows.size(), 25u);
+  std::size_t ties = 0;
+  for (std::size_t r = 1; r < want.rows.size(); ++r) {
+    ties += want.rows[r][2] == want.rows[r - 1][2] ? 1 : 0;
+  }
+  ASSERT_GT(ties, 0u);
+
+  for (std::size_t shards = 1; shards <= 4; ++shards) {
+    PipelinedQueryExecution::Options options;
+    options.num_shards = shards;
+    options.ring_capacity = 4;
+    options.batch_capacity = 32;
+    PipelinedQueryExecution pipeline(*plan, options);
+    for (const PacketBatch& b : feed) pipeline.Consume(b);
+    pipeline.Quiesce();
+    pipeline.CheckInvariants();
+    EXPECT_EQ(pipeline.GroupCount(), every.rows.size()) << shards;
+    const ResultSet got = pipeline.Finish();
+    EXPECT_TRUE(BitIdentical(got, want))
+        << shards << " shards:\n--- got ---\n" << got.ToString()
+        << "--- want ---\n" << want.ToString();
+  }
+}
+
+// Shards that receive no rows contribute empty lists to the merge: one
+// surviving group at four shards leaves at least three shards empty,
+// and an input with no rows at all leaves every shard empty.
+TEST(PipelinedExecutionTest, ShardMergeWithEmptyShards) {
+  dsms::RegisterPaperUdafs();
+  std::string error;
+  auto plan = CompiledQuery::Compile(
+      "select srcIP, srcPort, count(*), avg(len) from TCP "
+      "where srcPort = 1000 and srcIP = 167772161 group by srcIP, srcPort",
+      &error, {});
+  ASSERT_NE(plan, nullptr) << error;
+
+  const std::vector<PacketBatch> feed =
+      MakeSkewedFeed(/*n_packets=*/3000, /*batch_capacity=*/128);
+  const std::vector<PacketBatch> no_rows;
+  for (const std::vector<PacketBatch>* input : {&feed, &no_rows}) {
+    auto reference = plan->NewExecution();
+    for (const PacketBatch& b : *input) reference->Consume(b);
+    const ResultSet want = reference->Finish();
+    ASSERT_EQ(want.rows.size(), input->empty() ? 0u : 1u);
+
+    PipelinedQueryExecution::Options options;
+    options.num_shards = 4;
+    PipelinedQueryExecution pipeline(*plan, options);
+    for (const PacketBatch& b : *input) pipeline.Consume(b);
+    const ResultSet got = pipeline.Finish();
+    EXPECT_TRUE(BitIdentical(got, want))
+        << "--- got ---\n" << got.ToString()
+        << "--- want ---\n" << want.ToString();
+  }
+}
+
 // After Quiesce() the workers are joined: a later batch would be lost in
 // the pending sub-batch or spin forever on a full ring, so Consume()
 // must abort — in release builds too (FWDECAY_CHECK, not a DCHECK).
