@@ -268,8 +268,8 @@ int main(int argc, char** argv) {
   for (std::size_t shards = 1; shards <= max_shards; shards *= 2) {
     results.push_back(RunPipeline(*plan, batches, trace.size(), shards));
   }
-  // A --shards count that is not a power of two runs too: it routes
-  // through the scalar-modulo shard index.
+  // A --shards count that is not a power of two runs too (3 is what a
+  // 4-core host gives the parallel benchmark).
   if ((max_shards & (max_shards - 1)) != 0) {
     results.push_back(RunPipeline(*plan, batches, trace.size(), max_shards));
   }

@@ -31,6 +31,7 @@ REQUIRED_SECTIONS = [
     ("DESIGN.md", r"^### 6\.2 Snapshot format \(`FWDSNAP1`\)"),
     ("DESIGN.md", r"^### 6\.\d+ Trace file format \(`FWDTRC02`\)"),
     ("DESIGN.md", r"^## 8\. Batched columnar ingest"),
+    ("DESIGN.md", r"^### 8\.4 Deterministic samplers"),
     ("DESIGN.md", r"^## 9\. Observability"),
     ("DESIGN.md", r"^## 11\. Serving: the `fwdecayd` daemon"),
     ("DESIGN.md", r"^### 11\.3 Durability: journal \+ snapshot \+ manifest"),

@@ -21,8 +21,8 @@ std::string Lower(std::string s) {
 
 class CountAgg : public AggState {
  public:
-  void Update(std::span<const Value>) override { ++count_; }
-  void UpdateBatch(std::span<const ValueColumn>,
+  void Update(std::span<const Value>, std::uint64_t) override { ++count_; }
+  void UpdateBatch(std::span<const ValueColumn>, std::span<const std::uint64_t>,
                    std::span<const std::uint32_t> rows) override {
     count_ += static_cast<std::int64_t>(rows.size());
   }
@@ -44,12 +44,13 @@ class CountAgg : public AggState {
 
 class SumAgg : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(!args.empty(), "sum() needs an argument");
     if (!args[0].is_int()) all_int_ = false;
     sum_ += args[0].AsDouble();
   }
   void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint64_t>,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(!args_columns.empty(), "sum() needs an argument");
     const ValueColumn& col = args_columns[0];
@@ -106,12 +107,13 @@ class SumAgg : public AggState {
 
 class AvgAgg : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(!args.empty(), "avg() needs an argument");
     sum_ += args[0].AsDouble();
     ++count_;
   }
   void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint64_t>,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(!args_columns.empty(), "avg() needs an argument");
     const ValueColumn& col = args_columns[0];
@@ -160,11 +162,12 @@ class AvgAgg : public AggState {
 /// the FDDISTINCT UDAF).
 class CountDistinctAgg : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(!args.empty(), "count(distinct) needs an argument");
     seen_.insert(args[0].Hash());
   }
   void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint64_t>,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(!args_columns.empty(),
                       "count(distinct) needs an argument");
@@ -209,11 +212,12 @@ class CountDistinctAgg : public AggState {
 template <bool kIsMax>
 class ExtremumAgg : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(!args.empty(), "min()/max() needs an argument");
     Offer(args[0]);
   }
   void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint64_t>,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(!args_columns.empty(), "min()/max() needs an argument");
     const ValueColumn& col = args_columns[0];
@@ -257,6 +261,7 @@ class ExtremumAgg : public AggState {
 }  // namespace
 
 void AggState::UpdateBatch(std::span<const ValueColumn> args_columns,
+                           std::span<const std::uint64_t> dets,
                            std::span<const std::uint32_t> rows) {
   // Gather each selected row into the member scratch and fall back to
   // the per-tuple Update — same call sequence, same state evolution,
@@ -266,7 +271,7 @@ void AggState::UpdateBatch(std::span<const ValueColumn> args_columns,
     for (std::size_t a = 0; a < args_columns.size(); ++a) {
       update_scratch_[a] = args_columns[a][row];
     }
-    Update(update_scratch_);
+    Update(update_scratch_, dets.empty() ? 0 : dets[row]);
   }
 }
 

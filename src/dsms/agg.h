@@ -1,6 +1,7 @@
 #ifndef FWDECAY_DSMS_AGG_H_
 #define FWDECAY_DSMS_AGG_H_
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -11,6 +12,7 @@
 #include "dsms/column.h"
 #include "dsms/value.h"
 #include "util/bytes.h"
+#include "util/hash.h"
 
 // Aggregate-function framework of the mini DSMS.
 //
@@ -27,24 +29,44 @@ namespace fwdecay::dsms {
 // selected rows, column-at-a-time layout; see EvalExprBatch in expr.h)
 // now lives in dsms/column.h as a typed class.
 
+/// The row's *determinator* (DESIGN.md §8.4): a 64-bit value the engine
+/// hands aggregates with each row, a pure function of the row's
+/// input-stream position and its timestamp. Samplers derive their
+/// per-item uniform from it, so a sample depends on the input alone —
+/// not on how many states were created before, nor on how the stream
+/// was split across shards, low-level evictions or a checkpoint. The
+/// timestamp is mixed in because positions restart at 0 when a tumbling
+/// window reuses its execution through QueryExecution::Reset().
+inline std::uint64_t RowDeterminator(std::uint64_t position, double time) {
+  return HashU64(position, std::bit_cast<std::uint64_t>(time));
+}
+
 /// Per-group aggregation state. One instance per (group, aggregate call).
 class AggState {
  public:
   virtual ~AggState() = default;
 
-  /// Folds one tuple's evaluated argument list into the state.
-  virtual void Update(std::span<const Value> args) = 0;
+  /// True if Update/UpdateBatch read the row determinators. The engine
+  /// computes determinators only for plans with such an aggregate; in
+  /// other plans `det` is 0 and `dets` is empty.
+  virtual bool UsesDeterminators() const { return false; }
+
+  /// Folds one tuple's evaluated argument list into the state. `det` is
+  /// the row's determinator (RowDeterminator).
+  virtual void Update(std::span<const Value> args, std::uint64_t det) = 0;
 
   /// Folds a run of tuples from evaluated argument *columns*:
   /// args_columns[a][row] is argument `a` of the tuple at dense row
-  /// index `row`; `rows` lists the (ascending) rows belonging to this
-  /// state's group. The default implementation gathers each row into a
-  /// reused scratch buffer and calls Update(), preserving per-tuple
-  /// semantics bit for bit; hot aggregates override it with a tight
-  /// column loop. Overrides must process rows in order — samplers draw
-  /// from their RNG per row, and FP accumulation order defines the
-  /// engine's bit-exactness contract (DESIGN.md §8).
+  /// index `row`, and dets[row] is that tuple's determinator (see
+  /// UsesDeterminators); `rows` lists the (ascending) rows belonging to
+  /// this state's group. The default implementation gathers each row
+  /// into a reused scratch buffer and calls Update(), preserving
+  /// per-tuple semantics bit for bit; hot aggregates override it with a
+  /// tight column loop. Overrides must process rows in order: FP
+  /// accumulation order defines the engine's bit-exactness contract
+  /// (DESIGN.md §8.3).
   virtual void UpdateBatch(std::span<const ValueColumn> args_columns,
+                           std::span<const std::uint64_t> dets,
                            std::span<const std::uint32_t> rows);
 
   /// Merges another state of the same concrete type (used by the

@@ -364,6 +364,11 @@ std::unique_ptr<CompiledQuery> CompiledQuery::CompileParsed(Query query,
     FWDECAY_CHECK_MSG(plan->options_.low_level_slots >= 2,
                       "two-level mode needs at least 2 low-level slots");
   }
+  for (const std::string& name : plan->agg_names_) {
+    plan->uses_determinators_ =
+        plan->uses_determinators_ ||
+        AggRegistry::Instance().Create(name)->UsesDeterminators();
+  }
   EngineMetrics::Get().plans_compiled->Increment();
   return plan;
 }
@@ -714,6 +719,7 @@ void QueryExecution::ShedLowestWeightGroup() {
 }
 
 void QueryExecution::UpdateGroup(Group& group, const PacketBatch& batch,
+                                 std::span<const std::uint64_t> dets,
                                  std::size_t run_begin, std::size_t run_len) {
   // Weights first, per row in stream order, then the aggregates — the
   // exact side-effect order of the old per-tuple loop, just regrouped:
@@ -728,7 +734,7 @@ void QueryExecution::UpdateGroup(Group& group, const PacketBatch& batch,
                                             run_len);
   for (std::size_t slot = 0; slot < plan_->agg_names_.size(); ++slot) {
     group.aggs[slot]->UpdateBatch(
-        std::span<const ValueColumn>(arg_cols_[slot]), rows);
+        std::span<const ValueColumn>(arg_cols_[slot]), dets, rows);
   }
 }
 
@@ -757,11 +763,11 @@ void QueryExecution::Consume(const Packet& p) {
 }
 
 void QueryExecution::Consume(const PacketBatch& batch) {
-  ConsumeBatch(batch, /*prefiltered=*/false);
+  ConsumeBatch(batch, /*routed_dets=*/nullptr);
 }
 
-void QueryExecution::ConsumeBatch(const PacketBatch& batch,
-                                  bool prefiltered) {
+void QueryExecution::ConsumeBatch(
+    const PacketBatch& batch, const std::vector<std::uint64_t>* routed_dets) {
   // 1-in-kMetricsSamplePeriod batches get a wall-clock sample into the
   // decayed ns-per-batch reservoir; a null handle means the clock is
   // never read. The periodic FlushMetrics() below publishes counter
@@ -783,23 +789,33 @@ void QueryExecution::ConsumeBatch(const PacketBatch& batch,
     FlushMetrics();
   }
 
-  // A prefiltered batch holds only rows this shard owns, so counting
-  // them keeps tuples_aggregated_ <= packets_consumed_ per shard.
+  // A routed batch holds only rows this shard owns, so counting them
+  // keeps tuples_aggregated_ <= packets_consumed_ per shard.
   const std::size_t n_in = batch.size();
+  const std::uint64_t position = packets_consumed_;
   packets_consumed_ += n_in;
   if (n_in == 0) return;
 
   sel_.resize(n_in);
-  std::size_t n = n_in;
-  if (prefiltered) {
+  if (routed_dets != nullptr) {
     std::iota(sel_.begin(), sel_.end(), 0u);
-  } else {
-    n = plan_->SelectRows(batch, sel_.data(), &batch_scratch_);
+    AggregateSelection(batch, *routed_dets, n_in);
+    return;
   }
-  AggregateSelection(batch, n);
+  const std::size_t n = plan_->SelectRows(batch, sel_.data(), &batch_scratch_);
+  dets_.clear();
+  if (plan_->uses_determinators_) {
+    dets_.resize(n);
+    const double* times = batch.time();
+    for (std::size_t i = 0; i < n; ++i) {
+      dets_[i] = RowDeterminator(position + sel_[i], times[sel_[i]]);
+    }
+  }
+  AggregateSelection(batch, dets_, n);
 }
 
 void QueryExecution::AggregateSelection(const PacketBatch& batch,
+                                        std::span<const std::uint64_t> dets,
                                         std::size_t n) {
   if (n == 0) return;
   tuples_aggregated_ += n;
@@ -903,7 +919,7 @@ void QueryExecution::AggregateSelection(const PacketBatch& batch,
       }
       target = &slot.group;
     }
-    UpdateGroup(*target, batch, i, j - i);
+    UpdateGroup(*target, batch, dets, i, j - i);
     i = j;
   }
 }
@@ -1111,7 +1127,7 @@ ResultSet QueryExecution::Finish() {
 //
 // Snapshot file layout (normative byte-offset tables: DESIGN.md §6.2):
 //   8 bytes   magic "FWDSNAP1"
-//   u32       format version (1)
+//   u32       format version (2)
 //   u32       CRC32C of the payload
 //   u64       payload length
 //   payload   versioned ByteWriter frame (plan fingerprint, counters,
@@ -1123,7 +1139,11 @@ ResultSet QueryExecution::Finish() {
 namespace {
 
 constexpr char kSnapshotMagic[8] = {'F', 'W', 'D', 'S', 'N', 'A', 'P', '1'};
-constexpr std::uint32_t kSnapshotVersion = 1;
+// Version 2: sampler frames hold no generator state (their randomness
+// hashes from each row's determinator). A version-1 image's sampler
+// frames carry 32 bytes of xoshiro state first, so they are refused
+// rather than parsed.
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 }  // namespace
 
@@ -1286,8 +1306,14 @@ bool QueryExecution::RestoreBytes(const std::uint8_t* data, std::size_t size,
     *error = "not a FWDSNAP1 snapshot";
     return false;
   }
-  if (!header.ReadU32(&version) || version != kSnapshotVersion) {
-    *error = "unsupported snapshot version";
+  if (!header.ReadU32(&version)) {
+    *error = "snapshot truncated before header";
+    return false;
+  }
+  if (version != kSnapshotVersion) {
+    *error = "unsupported snapshot format version " + std::to_string(version) +
+             " (this build reads version " +
+             std::to_string(kSnapshotVersion) + ")";
     return false;
   }
   if (!header.ReadU32(&crc) || !header.ReadU64(&payload_len) ||
@@ -1402,27 +1428,43 @@ namespace {
 
 // Seed for remixing the group hash into a shard index. Must be a
 // *different* function of the key than the group hash itself: the
-// low-level table indexes by `hash % slots`, so routing by `hash % N`
+// low-level table indexes by `hash % slots`, so routing by the raw hash
 // would correlate shard choice with slot index and skew low-table
 // occupancy per shard.
 constexpr std::uint64_t kShardRouteSeed = 0x5ca1ab1e0ddba11ULL;
 
 }  // namespace
 
+// One shard's sub-batch: the routed rows and, when the plan reads them,
+// per row the determinator the router derived from the row's position in
+// its own input.
+struct RoutedBatch {
+  PacketBatch rows;
+  std::vector<std::uint64_t> dets;
+
+  RoutedBatch(std::size_t capacity, bool with_dets) : rows(capacity) {
+    if (with_dets) dets.reserve(capacity);
+  }
+  void Clear() {
+    rows.Clear();
+    dets.clear();
+  }
+};
+
 struct PipelinedQueryExecution::Shard {
   // Router -> worker: full sub-batches; ownership moves with the batch.
-  SpscRing<PacketBatch> to_worker;
+  SpscRing<RoutedBatch> to_worker;
   // Worker -> router: consumed batches, Clear()'d for reuse.
-  SpscRing<PacketBatch> recycle;
+  SpscRing<RoutedBatch> recycle;
   std::unique_ptr<QueryExecution> exec;
   // Router-side gather under construction (not yet published).
-  PacketBatch pending;
+  RoutedBatch pending;
   sched::Thread worker;
 
-  Shard(std::size_t ring_capacity, std::size_t batch_capacity)
+  Shard(std::size_t ring_capacity, std::size_t batch_capacity, bool with_dets)
       : to_worker(ring_capacity),
         recycle(ring_capacity),
-        pending(batch_capacity) {}
+        pending(batch_capacity, with_dets) {}
 };
 
 PipelinedQueryExecution::PipelinedQueryExecution(const CompiledQuery& plan,
@@ -1433,8 +1475,8 @@ PipelinedQueryExecution::PipelinedQueryExecution(const CompiledQuery& plan,
   shards_.reserve(options.num_shards);
   shard_rows_.resize(options.num_shards);
   for (std::size_t s = 0; s < options.num_shards; ++s) {
-    auto shard =
-        std::make_unique<Shard>(options.ring_capacity, options.batch_capacity);
+    auto shard = std::make_unique<Shard>(
+        options.ring_capacity, options.batch_capacity, plan.uses_determinators_);
     shard->exec = plan.NewExecution();
     shard->exec->UseShardMetrics(s);
     shards_.push_back(std::move(shard));
@@ -1464,6 +1506,7 @@ void PipelinedQueryExecution::Consume(const PacketBatch& batch) {
   // in `pending` or spin forever on a full ring.
   FWDECAY_CHECK_MSG(!quiesced_,
                     "PipelinedQueryExecution::Consume after Quiesce/Finish");
+  const std::uint64_t position = packets_offered_;
   packets_offered_ += batch.size();
   // Router-level offered-packet count goes to the engine-wide family;
   // the per-shard fwdecay_shard_* counters only see post-filter rows.
@@ -1496,27 +1539,36 @@ void PipelinedQueryExecution::Consume(const PacketBatch& batch) {
   }
 
   // Stage 2 — gather each shard's rows (stream order preserved) into
-  // that shard's pending sub-batch; full sub-batches transfer whole
-  // through the SPSC ring. Partial fills stay pending across Consume()
-  // calls and are flushed by Quiesce().
+  // that shard's pending sub-batch, each with the determinator of its
+  // position in this router's input (if the plan reads them), exactly as
+  // the single-threaded engine would derive it. Full sub-batches
+  // transfer whole through the SPSC ring. Partial fills stay pending
+  // across Consume() calls and are flushed by Quiesce().
+  const double* times = batch.time();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto& rows = shard_rows_[s];
     if (rows.empty()) continue;
     Shard& shard = *shards_[s];
     std::size_t off = 0;
     while (off < rows.size()) {
-      const std::size_t room =
-          shard.pending.capacity() - shard.pending.size();
-      const std::size_t take = std::min(room, rows.size() - off);
-      shard.pending.AppendSelected(batch, rows.data() + off, take);
+      PacketBatch& pending = shard.pending.rows;
+      const std::size_t take =
+          std::min(pending.capacity() - pending.size(), rows.size() - off);
+      pending.AppendSelected(batch, rows.data() + off, take);
+      if (plan_->uses_determinators_) {
+        for (std::size_t i = off; i < off + take; ++i) {
+          shard.pending.dets.push_back(
+              RowDeterminator(position + rows[i], times[rows[i]]));
+        }
+      }
       off += take;
-      if (shard.pending.full()) DispatchPending(shard);
+      if (pending.full()) DispatchPending(shard);
     }
   }
 }
 
 void PipelinedQueryExecution::DispatchPending(Shard& shard) {
-  if (shard.pending.empty()) return;
+  if (shard.pending.rows.empty()) return;
   while (!shard.to_worker.TryPush(std::move(shard.pending))) {
     // Backpressure: the shard's ring is full; let its worker run. The
     // failed TryPush leaves `pending` untouched.
@@ -1528,13 +1580,14 @@ void PipelinedQueryExecution::DispatchPending(Shard& shard) {
     }
   }
   if (!shard.recycle.TryPop(&shard.pending)) {
+    const bool with_dets = plan_->uses_determinators_;
     // fwdecay: hotpath-cold(pool warm-up allocation; the steady state reuses recycled batches)
-    shard.pending = PacketBatch(options_.batch_capacity);
+    shard.pending = RoutedBatch(options_.batch_capacity, with_dets);
   }
 }
 
 void PipelinedQueryExecution::WorkerLoop(Shard& shard) {
-  PacketBatch batch(1);
+  RoutedBatch batch(1, /*with_dets=*/false);
   for (;;) {
     if (!shard.to_worker.TryPop(&batch)) {
       // stop_ is release-stored after the final DispatchPending, so a
@@ -1551,7 +1604,7 @@ void PipelinedQueryExecution::WorkerLoop(Shard& shard) {
         continue;
       }
     }
-    shard.exec->ConsumeBatch(batch, /*prefiltered=*/true);
+    shard.exec->ConsumeBatch(batch.rows, &batch.dets);
     batch.Clear();
     // Offer the cleared batch back to the router; dropping it when the
     // recycle ring is full is fine (the router allocates a fresh one).

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,6 +141,9 @@ class CompiledQuery {
   // Output column index + descending flag, applied in order.
   std::vector<std::pair<std::size_t, bool>> order_by_;
   std::optional<std::int64_t> limit_;
+  // Some aggregate reads row determinators (AggState::UsesDeterminators);
+  // otherwise neither the engine nor the pipeline router computes them.
+  bool uses_determinators_ = false;
 };
 
 /// Mutable state of one run: feed packets, then collect results.
@@ -160,8 +164,8 @@ class QueryExecution {
   /// whole batch, group-key hashing over the surviving selection, then
   /// grouped aggregate updates over runs of consecutive equal-key rows.
   /// Produces exactly the state a Consume(Packet) loop over the same
-  /// rows would — same FP accumulation order, same RNG draw order, same
-  /// eviction and shedding decisions (DESIGN.md §8).
+  /// rows would — same FP accumulation order, same per-row determinators,
+  /// same eviction and shedding decisions (DESIGN.md §8).
   void Consume(const PacketBatch& batch);
 
   /// Flushes the low level and produces the final result table, sorted
@@ -173,7 +177,8 @@ class QueryExecution {
 
   /// Packets offered to Consume() so far (before filtering). This is the
   /// input-stream position recorded in snapshots: recovery re-feeds the
-  /// trace from this offset.
+  /// trace from this offset. Row `i` of the next batch is at position
+  /// packets_consumed() + i, which its determinator hashes (agg.h).
   std::uint64_t packets_consumed() const { return packets_consumed_; }
 
   /// Distinct groups currently held (low + high level). O(1): both
@@ -257,15 +262,22 @@ class QueryExecution {
   // over the run. The batched hot path — must not allocate per tuple
   // (scripts/lint.py rule `hotpath`).
   void UpdateGroup(Group& group, const PacketBatch& batch,
-                   std::size_t run_begin, std::size_t run_len);
+                   std::span<const std::uint64_t> dets, std::size_t run_begin,
+                   std::size_t run_len);
   // Groups and aggregates a pre-filtered selection: sel_[0..n) holds the
-  // surviving batch rows; key/argument columns are evaluated densely
-  // over it and applied run by run.
-  void AggregateSelection(const PacketBatch& batch, std::size_t n);
-  // Batched ingest body. `prefiltered` is the shard entry point: the
-  // pipeline's router already applied protocol + WHERE and gathered only
-  // this execution's rows, so every batch row is aggregated.
-  void ConsumeBatch(const PacketBatch& batch, bool prefiltered);
+  // surviving batch rows and dets their determinators (empty when the
+  // plan reads none); key/argument columns are evaluated densely over it
+  // and applied run by run.
+  void AggregateSelection(const PacketBatch& batch,
+                          std::span<const std::uint64_t> dets, std::size_t n);
+  // Batched ingest body. With `routed_dets` null it filters the batch
+  // and derives each surviving row's determinator from its position in
+  // this execution's input. Non-null is the shard entry point: the
+  // pipeline's router already applied protocol + WHERE, gathered only
+  // this execution's rows, and computed (*routed_dets)[i] for batch row
+  // i from the row's position in the router's input.
+  void ConsumeBatch(const PacketBatch& batch,
+                    const std::vector<std::uint64_t>* routed_dets);
   // Evicts every occupied low-level slot to the high level (the first
   // phase of Finish(); each pipeline shard flushes its own).
   void FlushLowLevel();
@@ -352,6 +364,7 @@ class QueryExecution {
   std::vector<std::uint32_t> sel_;        // surviving batch rows
   std::vector<std::uint32_t> row_index_;  // iota over the selection
   std::vector<std::uint64_t> hashes_;     // group hash per selected row
+  std::vector<std::uint64_t> dets_;       // determinator per selected row
   std::vector<ValueColumn> key_cols_;     // per group expr, dense
   // Per aggregate slot, per argument: dense column over the selection.
   std::vector<std::vector<ValueColumn>> arg_cols_;
@@ -383,9 +396,14 @@ class QueryExecution {
 /// thread before ORDER BY and LIMIT. Forward decay makes this exact:
 /// group state is a sum of static weights g(t_i - L), so a partitioned
 /// sum equals the stream's sum with no rescaling (Section VI-B).
-/// Single-level plans are bit-identical to the single-threaded
-/// reference; two-level plans match it exactly on integer-valued
-/// aggregates (tests/spsc_ring_test.cc, tests/batch_exec_test.cc). With
+/// For plans with a sampler, the router also computes each routed row's
+/// determinator from the row's position in the router's input and ships
+/// it with the row, so a sampler draws the same uniforms at any shard
+/// count as in the single-threaded run. Single-level plans, samplers
+/// included, are bit-identical to the single-threaded reference;
+/// two-level plans match it exactly on integer-valued aggregates and on
+/// the PRISAMP, WRSAMP and RESSAMP samples, whose merges are exact
+/// (tests/spsc_ring_test.cc, tests/batch_exec_test.cc). With
 /// an OverloadPolicy installed, each shard enforces `max_groups` on its
 /// own table, so the pipeline retains at most num_shards * max_groups
 /// groups.
@@ -401,8 +419,11 @@ class PipelinedQueryExecution {
     std::size_t num_shards = 2;
     /// Slots per shard ring, a power of two >= 2. Bounds in-flight
     /// memory at ~2 * ring_capacity * batch bytes per shard and sets
-    /// how far the router can run ahead before backpressure.
-    std::size_t ring_capacity = 64;
+    /// how far the router can run ahead before backpressure. Every row
+    /// in flight is drained inside Quiesce(), so a deep ring behind a
+    /// router faster than its busiest worker lengthens Finish() (DESIGN.md
+    /// §14.2); 8 batches keep that drain short.
+    std::size_t ring_capacity = 8;
     /// Rows per gathered sub-batch handed to a worker.
     std::size_t batch_capacity = PacketBatch::kDefaultCapacity;
   };

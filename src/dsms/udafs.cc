@@ -1,7 +1,7 @@
 #include "dsms/udafs.h"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -10,28 +10,18 @@
 
 #include "dsms/agg.h"
 #include "sampling/biased_reservoir.h"
-#include "sampling/reservoir.h"
 #include "sketch/backward_sum.h"
 #include "sketch/dominance_norm.h"
 #include "sketch/qdigest.h"
 #include "sketch/sliding_hh.h"
 #include "sketch/space_saving.h"
 #include "util/check.h"
-#include "util/random.h"
-#include "util/thread_annotations.h"  // locking lint: file uses std::atomic
+#include "util/hash.h"
 #include "util/top_k_heap.h"
 
 namespace fwdecay::dsms {
 
 namespace {
-
-// Each sampler state draws from its own deterministic generator; states
-// are numbered in creation order so repeated runs reproduce exactly.
-std::uint64_t NextStateSeed() {
-  static std::atomic<std::uint64_t> counter{0};
-  // fwdecay: relaxed-ok(id allocation; uniqueness needs only RMW atomicity, not ordering)
-  return 0x9d5f7ab1u + counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 // Renders a sample of numeric items as "v1,v2,..." sorted ascending.
 std::string RenderSample(std::vector<double> items) {
@@ -77,97 +67,75 @@ double OptColDouble(std::span<const ValueColumn> args_columns,
                                       : args_columns[index][row].AsDouble();
 }
 
-// --- Checkpoint helpers -----------------------------------------------------
-//
-// Sampler UDAFs serialize their full generator state: a restored sampler
-// must continue the exact random sequence of the checkpointed run, or
-// recovery-replay would diverge from the uninterrupted baseline.
-
-void WriteRngState(ByteWriter* writer, const Rng& rng) {
-  std::uint64_t s[4];
-  rng.SaveState(s);
-  for (std::uint64_t word : s) writer->WriteU64(word);
-}
-
-bool ReadRngState(ByteReader* reader, Rng* rng) {
-  std::uint64_t s[4];
-  for (auto& word : s) {
-    if (!reader->ReadU64(&word)) return false;
-  }
-  rng->LoadState(s);
-  return true;
-}
-
-void WriteHeap(ByteWriter* writer, const TopKHeap<double>& heap) {
-  writer->WriteU64(heap.capacity());
-  writer->WriteU32(static_cast<std::uint32_t>(heap.size()));
-  // Verbatim array order: eviction under tied scores depends on it.
-  for (const auto& e : heap.entries()) {
-    writer->WriteDouble(e.score);
-    writer->WriteDouble(e.value);
-  }
-}
-
-std::unique_ptr<TopKHeap<double>> ReadHeap(ByteReader* reader) {
-  std::uint64_t capacity = 0;
-  std::uint32_t n = 0;
-  if (!reader->ReadU64(&capacity) || capacity == 0 ||
-      capacity > (std::uint64_t{1} << 26)) {
-    return nullptr;
-  }
-  if (!reader->ReadU32(&n) || n > capacity || n > reader->Remaining() / 16) {
-    return nullptr;
-  }
-  std::vector<TopKHeap<double>::Entry> entries;
-  entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    TopKHeap<double>::Entry e{0.0, 0.0};
-    if (!reader->ReadDouble(&e.score) || !reader->ReadDouble(&e.value)) {
-      return nullptr;
-    }
-    entries.push_back(e);
-  }
-  auto heap =
-      std::make_unique<TopKHeap<double>>(static_cast<std::size_t>(capacity));
-  if (!heap->RestoreEntries(std::move(entries))) return nullptr;
-  return heap;
-}
-
 // --- Samplers ---------------------------------------------------------------
+//
+// Sampler randomness is a pure function of the row (DESIGN.md §8.4):
+// each item's uniform is HashToUnitOpen(HashU64(det, seed)) over the
+// engine's per-row determinator, so no sampler holds a generator or
+// snapshots one. Each sampler hashes under its own seed, so two samplers
+// in one query draw independent uniforms for the same row.
 
-/// PRISAMP(item, weight [, k]): priority sampling. Priorities w/u are
-/// kept in the linear domain — weights such as exp(time % 60) stay well
-/// within double range inside a one-minute group.
-class PrisampUdaf : public AggState {
+constexpr std::uint64_t kPrisampSeed = 0x70726973616d7001ULL;
+constexpr std::uint64_t kWrsampSeed = 0x7772736d706c6502ULL;
+constexpr std::uint64_t kRessampSeed = 0x72657373616d7003ULL;
+constexpr std::uint64_t kAggsampCoinSeed = 0x616767636f696e04ULL;
+constexpr std::uint64_t kAggsampSlotSeed = 0x616767736c6f7405ULL;
+
+enum class SampleScore {
+  kPriority,  // PRISAMP: w / u (Theorem 6)
+  kARes,      // WRSAMP: -log(-log u^(1/w)), monotone in the A-Res key
+  kUniform,   // RESSAMP: u, i.e. unit-weight A-Res (Vitter's reservoir)
+};
+
+/// PRISAMP(item, weight [, k]), WRSAMP(item, weight [, k]) and
+/// RESSAMP(item [, k]): bottom-k samplers over one TopKHeap that differ
+/// only in their score. The heap keeps the items of largest score, and
+/// a score depends only on the item's weight and determinator, so the
+/// retained set is a function of the input multiset: Merge (take the
+/// union, keep the top) is exact for any partition of the stream, up to
+/// score ties, which need two 53-bit uniforms to collide.
+/// PRISAMP keeps k+1 items and reports the top k — the (k+1)-th
+/// priority is the estimator's threshold. Priorities w/u are kept in
+/// the linear domain — weights such as exp(time % 60) stay well within
+/// double range inside a one-minute group.
+template <SampleScore kScore>
+class HeapSamplerUdaf : public AggState {
  public:
-  PrisampUdaf() : rng_(NextStateSeed()) {}
+  bool UsesDeterminators() const override { return true; }
 
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 2, "PRISAMP(item, weight [, k])");
-    EnsureHeap(OptSize(args, 2, kDefaultK) + 1);  // +1: threshold slot
-    const double w = args[1].AsDouble();
-    if (w <= 0.0) return;
-    heap_->Offer(w / rng_.NextDoubleOpenZero(), args[0].AsDouble());
+  void Update(std::span<const Value> args, std::uint64_t det) override {
+    FWDECAY_CHECK_MSG(args.size() >= kSizeArg, Usage());
+    EnsureHeap(OptSize(args, kSizeArg, kDefaultK) + kExtra);
+    double w = 1.0;
+    if constexpr (kWeighted) {
+      w = args[1].AsDouble();
+      if (w <= 0.0) return;
+    }
+    heap_->Offer(Score(w, det), args[0].AsDouble());
   }
 
   void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint64_t> dets,
                    std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(args_columns.size() >= 2, "PRISAMP(item, weight [, k])");
+    FWDECAY_CHECK_MSG(args_columns.size() >= kSizeArg, Usage());
     if (rows.empty()) return;
     if (heap_ == nullptr) {
-      EnsureHeap(OptColSize(args_columns, 2, rows.front(), kDefaultK) + 1);
+      EnsureHeap(OptColSize(args_columns, kSizeArg, rows.front(), kDefaultK) +
+                 kExtra);
     }
     const ValueColumn& items = args_columns[0];
-    const ValueColumn& weights = args_columns[1];
     for (std::uint32_t row : rows) {
-      const double w = weights[row].AsDouble();
-      if (w <= 0.0) continue;  // no RNG draw — matches the per-tuple path
-      heap_->Offer(w / rng_.NextDoubleOpenZero(), items[row].AsDouble());
+      double w = 1.0;
+      if constexpr (kWeighted) {
+        w = args_columns[1][row].AsDouble();
+        if (w <= 0.0) continue;
+      }
+      heap_->Offer(Score(w, dets[row]), items[row].AsDouble());
     }
   }
 
   void Merge(AggState& other) override {
-    auto& o = static_cast<PrisampUdaf&>(other);
+    auto& o = static_cast<HeapSamplerUdaf&>(other);
     if (o.heap_ == nullptr) return;
     EnsureHeap(o.heap_->capacity());
     for (const auto& e : o.heap_->entries()) heap_->Offer(e.score, e.value);
@@ -176,223 +144,128 @@ class PrisampUdaf : public AggState {
   Value Finalize() const override {
     if (heap_ == nullptr) return Value(std::string());
     auto sorted = heap_->SortedByScoreDesc();
-    std::vector<double> items;
-    const std::size_t take = sorted.size() == heap_->capacity()
-                                 ? sorted.size() - 1
+    const std::size_t take = kExtra != 0 && sorted.size() == heap_->capacity()
+                                 ? sorted.size() - kExtra
                                  : sorted.size();
+    std::vector<double> items;
     for (std::size_t i = 0; i < take; ++i) items.push_back(sorted[i].value);
     return Value(RenderSample(std::move(items)));
   }
 
   bool SerializeTo(ByteWriter* writer) const override {
-    WriteRngState(writer, rng_);
     writer->WriteU8(heap_ != nullptr ? 1 : 0);
-    if (heap_ != nullptr) WriteHeap(writer, *heap_);
+    if (heap_ == nullptr) return true;
+    writer->WriteU64(heap_->capacity());
+    writer->WriteU32(static_cast<std::uint32_t>(heap_->size()));
+    // Verbatim array order, so a restored heap is the same heap.
+    for (const auto& e : heap_->entries()) {
+      writer->WriteDouble(e.score);
+      writer->WriteDouble(e.value);
+    }
     return true;
   }
 
   bool RestoreFrom(ByteReader* reader) override {
-    if (!ReadRngState(reader, &rng_)) return false;
     std::uint8_t flag = 0;
     if (!reader->ReadU8(&flag) || flag > 1) return false;
     heap_.reset();
-    if (flag != 0) {
-      heap_ = ReadHeap(reader);
-      if (heap_ == nullptr) return false;
-    }
-    return true;
-  }
-
- private:
-  static constexpr std::size_t kDefaultK = 64;
-
-  void EnsureHeap(std::size_t k_plus_1) {
-    if (heap_ == nullptr) heap_ = std::make_unique<TopKHeap<double>>(k_plus_1);
-  }
-
-  Rng rng_;
-  std::unique_ptr<TopKHeap<double>> heap_;
-};
-
-/// WRSAMP(item, weight [, k]): A-Res weighted reservoir, log-domain keys.
-class WrsampUdaf : public AggState {
- public:
-  WrsampUdaf() : rng_(NextStateSeed()) {}
-
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(args.size() >= 2, "WRSAMP(item, weight [, k])");
-    EnsureHeap(OptSize(args, 2, kDefaultK));
-    const double w = args[1].AsDouble();
-    if (w <= 0.0) return;
-    const double score =
-        std::log(w) - std::log(-std::log(rng_.NextDoubleOpenZero()));
-    heap_->Offer(score, args[0].AsDouble());
-  }
-
-  void UpdateBatch(std::span<const ValueColumn> args_columns,
-                   std::span<const std::uint32_t> rows) override {
-    FWDECAY_CHECK_MSG(args_columns.size() >= 2, "WRSAMP(item, weight [, k])");
-    if (rows.empty()) return;
-    if (heap_ == nullptr) {
-      EnsureHeap(OptColSize(args_columns, 2, rows.front(), kDefaultK));
-    }
-    const ValueColumn& items = args_columns[0];
-    const ValueColumn& weights = args_columns[1];
-    for (std::uint32_t row : rows) {
-      const double w = weights[row].AsDouble();
-      if (w <= 0.0) continue;  // no RNG draw — matches the per-tuple path
-      const double score =
-          std::log(w) - std::log(-std::log(rng_.NextDoubleOpenZero()));
-      heap_->Offer(score, items[row].AsDouble());
-    }
-  }
-
-  void Merge(AggState& other) override {
-    auto& o = static_cast<WrsampUdaf&>(other);
-    if (o.heap_ == nullptr) return;
-    EnsureHeap(o.heap_->capacity());
-    for (const auto& e : o.heap_->entries()) heap_->Offer(e.score, e.value);
-  }
-
-  Value Finalize() const override {
-    if (heap_ == nullptr) return Value(std::string());
-    std::vector<double> items;
-    for (const auto& e : heap_->entries()) items.push_back(e.value);
-    return Value(RenderSample(std::move(items)));
-  }
-
-  bool SerializeTo(ByteWriter* writer) const override {
-    WriteRngState(writer, rng_);
-    writer->WriteU8(heap_ != nullptr ? 1 : 0);
-    if (heap_ != nullptr) WriteHeap(writer, *heap_);
-    return true;
-  }
-
-  bool RestoreFrom(ByteReader* reader) override {
-    if (!ReadRngState(reader, &rng_)) return false;
-    std::uint8_t flag = 0;
-    if (!reader->ReadU8(&flag) || flag > 1) return false;
-    heap_.reset();
-    if (flag != 0) {
-      heap_ = ReadHeap(reader);
-      if (heap_ == nullptr) return false;
-    }
-    return true;
-  }
-
- private:
-  static constexpr std::size_t kDefaultK = 64;
-
-  void EnsureHeap(std::size_t k) {
-    if (heap_ == nullptr) heap_ = std::make_unique<TopKHeap<double>>(k);
-  }
-
-  Rng rng_;
-  std::unique_ptr<TopKHeap<double>> heap_;
-};
-
-/// RESSAMP(item [, k]): Vitter's undecayed reservoir (baseline).
-class RessampUdaf : public AggState {
- public:
-  RessampUdaf() : rng_(NextStateSeed()) {}
-
-  void Update(std::span<const Value> args) override {
-    FWDECAY_CHECK_MSG(!args.empty(), "RESSAMP(item [, k])");
-    if (sampler_ == nullptr) {
-      sampler_ = std::make_unique<ReservoirSampler<double>>(
-          OptSize(args, 1, kDefaultK));
-    }
-    sampler_->Add(args[0].AsDouble(), rng_);
-  }
-
-  void Merge(AggState& other) override {
-    // Approximate merge: re-offer the peer's sample. Fine for the
-    // two-level engine split (partial groups are disjoint stream
-    // segments) though not an exact reservoir union.
-    auto& o = static_cast<RessampUdaf&>(other);
-    if (o.sampler_ == nullptr) return;
-    if (sampler_ == nullptr) {
-      sampler_ = std::make_unique<ReservoirSampler<double>>(
-          o.sampler_->capacity());
-    }
-    for (double v : o.sampler_->sample()) sampler_->Add(v, rng_);
-  }
-
-  Value Finalize() const override {
-    if (sampler_ == nullptr) return Value(std::string());
-    return Value(RenderSample(sampler_->sample()));
-  }
-
-  bool SerializeTo(ByteWriter* writer) const override {
-    WriteRngState(writer, rng_);
-    writer->WriteU8(sampler_ != nullptr ? 1 : 0);
-    if (sampler_ != nullptr) {
-      writer->WriteU64(sampler_->capacity());
-      writer->WriteU64(sampler_->seen());
-      writer->WriteU32(static_cast<std::uint32_t>(sampler_->sample().size()));
-      for (double v : sampler_->sample()) writer->WriteDouble(v);
-    }
-    return true;
-  }
-
-  bool RestoreFrom(ByteReader* reader) override {
-    if (!ReadRngState(reader, &rng_)) return false;
-    std::uint8_t flag = 0;
-    if (!reader->ReadU8(&flag) || flag > 1) return false;
-    sampler_.reset();
     if (flag == 0) return true;
     std::uint64_t capacity = 0;
-    std::uint64_t seen = 0;
     std::uint32_t n = 0;
     if (!reader->ReadU64(&capacity) || capacity == 0 ||
         capacity > (std::uint64_t{1} << 26)) {
       return false;
     }
-    if (!reader->ReadU64(&seen) || !reader->ReadU32(&n) || n > capacity ||
-        n > reader->Remaining() / 8) {
+    if (!reader->ReadU32(&n) || n > capacity || n > reader->Remaining() / 16) {
       return false;
     }
-    std::vector<double> sample;
-    sample.reserve(n);
+    std::vector<TopKHeap<double>::Entry> entries;
+    entries.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      double v = 0.0;
-      if (!reader->ReadDouble(&v)) return false;
-      sample.push_back(v);
+      TopKHeap<double>::Entry e{0.0, 0.0};
+      if (!reader->ReadDouble(&e.score) || !reader->ReadDouble(&e.value)) {
+        return false;
+      }
+      entries.push_back(e);
     }
-    sampler_ = std::make_unique<ReservoirSampler<double>>(
-        static_cast<std::size_t>(capacity));
-    return sampler_->RestoreState(seen, std::move(sample));
+    heap_ =
+        std::make_unique<TopKHeap<double>>(static_cast<std::size_t>(capacity));
+    return heap_->RestoreEntries(std::move(entries));
   }
 
  private:
+  static constexpr bool kWeighted = kScore != SampleScore::kUniform;
+  static constexpr std::size_t kSizeArg = kWeighted ? 2 : 1;
+  static constexpr std::size_t kExtra =
+      kScore == SampleScore::kPriority ? 1 : 0;
   static constexpr std::size_t kDefaultK = 64;
 
-  Rng rng_;
-  std::unique_ptr<ReservoirSampler<double>> sampler_;
+  static const char* Usage() {
+    switch (kScore) {
+      case SampleScore::kPriority:
+        return "PRISAMP(item, weight [, k])";
+      case SampleScore::kARes:
+        return "WRSAMP(item, weight [, k])";
+      case SampleScore::kUniform:
+        return "RESSAMP(item [, k])";
+    }
+    return "";
+  }
+
+  static double Score(double w, std::uint64_t det) {
+    switch (kScore) {
+      case SampleScore::kPriority:
+        return w / HashToUnitOpen(HashU64(det, kPrisampSeed));
+      case SampleScore::kARes:
+        return std::log(w) -
+               std::log(-std::log(HashToUnitOpen(HashU64(det, kWrsampSeed))));
+      case SampleScore::kUniform:
+        return HashToUnitOpen(HashU64(det, kRessampSeed));
+    }
+    return 0.0;
+  }
+
+  void EnsureHeap(std::size_t capacity) {
+    if (heap_ == nullptr) heap_ = std::make_unique<TopKHeap<double>>(capacity);
+  }
+
+  std::unique_ptr<TopKHeap<double>> heap_;
 };
 
-/// AGGSAMP(item [, k]): Aggarwal's biased reservoir (baseline).
+/// AGGSAMP(item [, k]): Aggarwal's biased reservoir (baseline). Both of
+/// an arrival's draws — overwrite-or-append and the overwritten slot —
+/// hash from its determinator. The reservoir is sequential: its state
+/// depends on arrival order within the group, so it has no exact union
+/// and Merge is approximate (see Merge).
 class AggsampUdaf : public AggState {
  public:
-  AggsampUdaf() : rng_(NextStateSeed()) {}
+  bool UsesDeterminators() const override { return true; }
 
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t det) override {
     FWDECAY_CHECK_MSG(!args.empty(), "AGGSAMP(item [, k])");
     if (sampler_ == nullptr) {
       sampler_ = std::make_unique<BiasedReservoirSampler<double>>(
           OptSize(args, 1, kDefaultK));
     }
-    sampler_->Add(args[0].AsDouble(), rng_);
+    Offer(args[0].AsDouble(), det);
   }
 
   void Merge(AggState& other) override {
+    // Approximate: re-offers the peer's retained items as new arrivals,
+    // each with a determinator hashed from this reservoir's arrival count
+    // and the item, so the merged state is still a function of the two
+    // inputs. Fine for the two-level engine split (partial groups are
+    // disjoint stream segments), but not the reservoir the whole stream
+    // would have produced.
     auto& o = static_cast<AggsampUdaf&>(other);
     if (o.sampler_ == nullptr) return;
     if (sampler_ == nullptr) {
       sampler_ = std::make_unique<BiasedReservoirSampler<double>>(
           o.sampler_->capacity());
     }
-    for (double v : o.sampler_->sample()) sampler_->Add(v, rng_);
+    for (double v : o.sampler_->sample()) {
+      Offer(v, HashU64(sampler_->seen(), std::bit_cast<std::uint64_t>(v)));
+    }
   }
 
   Value Finalize() const override {
@@ -401,7 +274,6 @@ class AggsampUdaf : public AggState {
   }
 
   bool SerializeTo(ByteWriter* writer) const override {
-    WriteRngState(writer, rng_);
     writer->WriteU8(sampler_ != nullptr ? 1 : 0);
     if (sampler_ != nullptr) {
       writer->WriteU64(sampler_->capacity());
@@ -413,7 +285,6 @@ class AggsampUdaf : public AggState {
   }
 
   bool RestoreFrom(ByteReader* reader) override {
-    if (!ReadRngState(reader, &rng_)) return false;
     std::uint8_t flag = 0;
     if (!reader->ReadU8(&flag) || flag > 1) return false;
     sampler_.reset();
@@ -444,7 +315,13 @@ class AggsampUdaf : public AggState {
  private:
   static constexpr std::size_t kDefaultK = 64;
 
-  Rng rng_;
+  void Offer(double item, std::uint64_t det) {
+    // The coin must lie in [0, 1): a full reservoir (fill == 1) always
+    // overwrites.
+    sampler_->Add(item, 1.0 - HashToUnitOpen(HashU64(det, kAggsampCoinSeed)),
+                  HashU64(det, kAggsampSlotSeed));
+  }
+
   std::unique_ptr<BiasedReservoirSampler<double>> sampler_;
 };
 
@@ -468,7 +345,7 @@ std::string RenderHitters(const std::vector<HeavyHitter>& hitters) {
 /// weight g(t_i - L) generated by the query.
 class FdhhUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(args.size() >= 2, "FDHH(key, weight [, phi [, eps]])");
     if (sketch_ == nullptr) {
       phi_ = OptDouble(args, 2, 0.05);
@@ -483,6 +360,7 @@ class FdhhUdaf : public AggState {
   }
 
   void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint64_t>,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(args_columns.size() >= 2,
                       "FDHH(key, weight [, phi [, eps]])");
@@ -549,7 +427,7 @@ class FdhhUdaf : public AggState {
 /// unary-optimized SpaceSaving (the paper's "Unary HH").
 class UnaryhhUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(!args.empty(), "UNARYHH(key [, phi [, eps]])");
     if (sketch_ == nullptr) {
       phi_ = OptDouble(args, 1, 0.05);
@@ -603,7 +481,7 @@ class UnaryhhUdaf : public AggState {
 /// baseline; finalizes to the HH set over the whole group span.
 class SwhhUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(args.size() >= 2, "SWHH(time, key [, phi [, eps]])");
     if (sketch_ == nullptr) {
       phi_ = OptDouble(args, 2, 0.05);
@@ -669,7 +547,7 @@ class SwhhUdaf : public AggState {
 /// evaluated at the group's last timestamp — the Figure 2 baseline.
 class EhdsumUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(args.size() >= 2, "EHDSUM(time, value [, eps])");
     if (agg_ == nullptr) {
       const double eps = OptDouble(args, 2, 0.1);
@@ -727,7 +605,7 @@ class EhdsumUdaf : public AggState {
 template <bool kIsMax>
 class FdExtremumUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(args.size() >= 2, "FDMIN/FDMAX(value, weight)");
     const double w = args[1].AsDouble();
     if (w <= 0.0) return;
@@ -735,6 +613,7 @@ class FdExtremumUdaf : public AggState {
   }
 
   void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint64_t>,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(args_columns.size() >= 2, "FDMIN/FDMAX(value, weight)");
     const ValueColumn& values = args_columns[0];
@@ -786,7 +665,7 @@ class FdExtremumUdaf : public AggState {
 /// quantile under forward decay (Theorem 3).
 class FdquantileUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(args.size() >= 3,
                       "FDQUANTILE(value, weight, phi [, bits [, eps]])");
     if (digest_ == nullptr) {
@@ -802,6 +681,7 @@ class FdquantileUdaf : public AggState {
   }
 
   void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint64_t>,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(args_columns.size() >= 3,
                       "FDQUANTILE(value, weight, phi [, bits [, eps]])");
@@ -873,7 +753,7 @@ class FdquantileUdaf : public AggState {
 /// dominance norm; divide by g(t - L) downstream if needed.
 class FddistinctUdaf : public AggState {
  public:
-  void Update(std::span<const Value> args) override {
+  void Update(std::span<const Value> args, std::uint64_t) override {
     FWDECAY_CHECK_MSG(args.size() >= 2, "FDDISTINCT(key, weight [, k])");
     if (sketch_ == nullptr) {
       // fwdecay: hotpath-cold(one-time lazy sketch init on the group's first update)
@@ -885,6 +765,7 @@ class FddistinctUdaf : public AggState {
   }
 
   void UpdateBatch(std::span<const ValueColumn> args_columns,
+                   std::span<const std::uint64_t>,
                    std::span<const std::uint32_t> rows) override {
     FWDECAY_CHECK_MSG(args_columns.size() >= 2, "FDDISTINCT(key, weight [, k])");
     if (rows.empty()) return;
@@ -942,9 +823,15 @@ class FddistinctUdaf : public AggState {
 
 void RegisterPaperUdafs() {
   AggRegistry& r = AggRegistry::Instance();
-  r.Register("prisamp", [] { return std::make_unique<PrisampUdaf>(); });
-  r.Register("wrsamp", [] { return std::make_unique<WrsampUdaf>(); });
-  r.Register("ressamp", [] { return std::make_unique<RessampUdaf>(); });
+  r.Register("prisamp", [] {
+    return std::make_unique<HeapSamplerUdaf<SampleScore::kPriority>>();
+  });
+  r.Register("wrsamp", [] {
+    return std::make_unique<HeapSamplerUdaf<SampleScore::kARes>>();
+  });
+  r.Register("ressamp", [] {
+    return std::make_unique<HeapSamplerUdaf<SampleScore::kUniform>>();
+  });
   r.Register("aggsamp", [] { return std::make_unique<AggsampUdaf>(); });
   r.Register("fdhh", [] { return std::make_unique<FdhhUdaf>(); });
   r.Register("unaryhh", [] { return std::make_unique<UnaryhhUdaf>(); });

@@ -36,11 +36,22 @@ class BiasedReservoirSampler {
 
   /// Offers the next stream item (arrival order defines the bias).
   void Add(const T& item, Rng& rng) {
+    const double coin = rng.NextDouble();
+    Add(item, coin, rng.Next64());
+  }
+
+  /// As Add(item, rng), with both draws supplied by the caller: `coin`
+  /// uniform in [0, 1) decides overwrite vs append, and `slot_bits` (64
+  /// uniform bits) picks the overwritten slot by multiply-shift. A
+  /// stateless caller derives both from a hash of the item's identity.
+  void Add(const T& item, double coin, std::uint64_t slot_bits) {
     ++seen_;
     const double fill =
         static_cast<double>(sample_.size()) / static_cast<double>(k_);
-    if (rng.NextDouble() < fill) {
-      sample_[rng.NextBounded(sample_.size())] = item;
+    if (coin < fill) {
+      sample_[static_cast<std::size_t>(
+          (static_cast<__uint128_t>(slot_bits) * sample_.size()) >> 64)] =
+          item;
     } else {
       sample_.push_back(item);
     }

@@ -38,19 +38,6 @@ class ReservoirSampler {
   std::uint64_t seen() const { return seen_; }
   std::size_t capacity() const { return k_; }
 
-  /// Restores a checkpointed reservoir verbatim (slot order included —
-  /// future replacements index into the array, so layout affects every
-  /// subsequent sample). False if the sizes are inconsistent.
-  bool RestoreState(std::uint64_t seen, std::vector<T> sample) {
-    const std::uint64_t expect =
-        seen < static_cast<std::uint64_t>(k_) ? seen
-                                              : static_cast<std::uint64_t>(k_);
-    if (sample.size() != expect) return false;
-    seen_ = seen;
-    sample_ = std::move(sample);
-    return true;
-  }
-
   /// Representation audit (DESIGN.md §7): Algorithm R keeps exactly
   /// min(k, seen) items — anything else means a lost or duplicated slot.
   void CheckInvariants() const {

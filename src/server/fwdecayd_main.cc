@@ -22,6 +22,7 @@
 #include <cstring>
 #include <string>
 
+#include "dsms/udafs.h"
 #include "server/daemon.h"
 
 namespace {
@@ -81,6 +82,9 @@ bool ParseDoubleFlag(const char* text, double* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Served plans may use the paper's UDAFs (samplers, FDHH, ...), not
+  // just the built-in aggregates.
+  fwdecay::dsms::RegisterPaperUdafs();
   fwdecay::server::DaemonOptions options;
   std::uint64_t u = 0;
   double d = 0.0;

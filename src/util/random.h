@@ -100,18 +100,6 @@ class Rng {
   /// Returns true with probability `p` (clamped to [0, 1]).
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
-  /// Copies the full 256-bit generator state out (engine checkpointing:
-  /// a restored sampler must continue the exact random sequence the
-  /// checkpointed run would have produced).
-  void SaveState(std::uint64_t out[4]) const {
-    for (int i = 0; i < 4; ++i) out[i] = state_[i];
-  }
-
-  /// Restores a state captured by SaveState.
-  void LoadState(const std::uint64_t in[4]) {
-    for (int i = 0; i < 4; ++i) state_[i] = in[i];
-  }
-
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

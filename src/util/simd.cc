@@ -84,7 +84,9 @@ void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
                    std::uint64_t seed, std::uint32_t num_shards,
                    std::uint32_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::uint32_t>(HashU64(hashes[i], seed) % num_shards);
+    const auto hi = static_cast<std::uint32_t>(HashU64(hashes[i], seed) >> 32);
+    out[i] = static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(hi) * num_shards) >> 32);
   }
 }
 
@@ -262,28 +264,23 @@ __attribute__((target("avx2"))) void ShardIndexU64(const std::uint64_t* hashes,
                                                    std::uint64_t seed,
                                                    std::uint32_t num_shards,
                                                    std::uint32_t* out) {
-  // Only the power-of-two reduction vectorizes (modulo becomes a lane
-  // mask); other shard counts keep the scalar 64-bit modulo, which has
-  // no AVX2 instruction.
-  if ((num_shards & (num_shards - 1)) != 0) {
-    scalar::ShardIndexU64(hashes, n, seed, num_shards, out);
-    return;
-  }
   // HashU64(h, seed) = Mix64(h ^ (seed*K1 + K2)) with the seed part
   // folded into one constant, exactly as the scalar arm computes it.
   const std::uint64_t c =
       seed * 0xff51afd7ed558ccdULL + 0xc4ceb9fe1a85ec53ULL;
   const __m256i vc = _mm256_set1_epi64x(static_cast<long long>(c));
-  const __m256i vmask =
-      _mm256_set1_epi64x(static_cast<long long>(num_shards - 1));
+  const __m256i vshards = _mm256_set1_epi64x(static_cast<long long>(num_shards));
   // Lane gather pattern packing the four 64-bit lanes' low dwords into
-  // the lower 128 bits (the masked index always fits in 32 bits).
+  // the lower 128 bits (the reduced index always fits in 32 bits).
   const __m256i pack = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256i x =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hashes + i));
-    x = _mm256_and_si256(Mix64V(_mm256_xor_si256(x, vc)), vmask);
+    // Multiply-shift: _mm256_mul_epu32 multiplies each lane's low dword,
+    // here the remixed hash's high half, by N into a full 64-bit product.
+    x = _mm256_srli_epi64(Mix64V(_mm256_xor_si256(x, vc)), 32);
+    x = _mm256_srli_epi64(_mm256_mul_epu32(x, vshards), 32);
     const __m256i packed = _mm256_permutevar8x32_epi32(x, pack);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      _mm256_castsi256_si128(packed));

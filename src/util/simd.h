@@ -55,11 +55,10 @@ void GroupHashI64(const std::int64_t* keys, std::size_t n,
                   std::uint64_t seed, std::uint64_t* out);
 
 /// Batch-partition kernel for shard routing (DESIGN.md §14.1): out[i] is
-/// exactly HashU64(hashes[i], seed) % num_shards — the group hash
-/// remixed under an independent seed, reduced to a shard index. The
-/// AVX2 arm vectorizes the power-of-two case (the reduction is a lane
-/// mask); non-power-of-two shard counts take the scalar modulo.
-/// num_shards must be > 0.
+/// exactly (uint64(uint32(HashU64(hashes[i], seed) >> 32)) * num_shards)
+/// >> 32 — the group hash remixed under an independent seed, its high
+/// half reduced to a shard index by multiply-shift (Lemire), which the
+/// AVX2 arm vectorizes for every shard count. num_shards must be > 0.
 void ShardIndexU64(const std::uint64_t* hashes, std::size_t n,
                    std::uint64_t seed, std::uint32_t num_shards,
                    std::uint32_t* out);

@@ -51,10 +51,7 @@ class CheckpointTest : public testing::Test {
   // Checkpoints an execution at `cut`, lets it run on to completion
   // (the "uninterrupted" outcome), then restores a second execution
   // from the snapshot, re-feeds the trace from the recorded position,
-  // and asserts the two final tables are identical. Comparing against
-  // the *same* execution's continuation is what makes this valid for
-  // RNG-carrying UDAFs too: the snapshot holds their generator state,
-  // so the restored run must replay the continuation bit for bit.
+  // and asserts the two final tables are identical.
   void ExpectRecoveryReplayMatches(const std::string& gsql,
                                    const std::vector<Packet>& packets,
                                    std::size_t cut,
@@ -100,8 +97,8 @@ TEST_F(CheckpointTest, RecoveryReplayMatchesBuiltins) {
       "count_distinct(srcIP) from TCP group by destIP";
   ExpectRecoveryReplayMatches(gsql, packets, /*cut=*/9137);
 
-  // Built-ins are RNG-free, so the stronger claim holds too: the
-  // restored run matches a completely independent fresh execution.
+  // The stronger claim holds too: the restored run matches a completely
+  // independent fresh execution.
   std::string error;
   auto plan = CompiledQuery::Compile(gsql, &error);
   ASSERT_NE(plan, nullptr) << error;
@@ -132,18 +129,68 @@ TEST_F(CheckpointTest, RecoveryReplayMatchesTwoLevel) {
       gen.Generate(30000), /*cut=*/14551, opts);
 }
 
+constexpr char kSamplerGsql[] =
+    "select tb, PRISAMP(srcIP, exp(time % 60), 8), "
+    "WRSAMP(srcIP, (time % 60) + 1, 8), RESSAMP(srcIP, 8), "
+    "AGGSAMP(srcIP, 8) from TCP group by time/60 as tb";
+
+std::string RunToEnd(const CompiledQuery& plan,
+                     const std::vector<Packet>& packets) {
+  auto exec = plan.NewExecution();
+  for (const Packet& p : packets) exec->Consume(p);
+  return exec->Finish().ToString();
+}
+
 TEST_F(CheckpointTest, RecoveryReplayMatchesSamplingUdafs) {
-  // PRISAMP/WRSAMP carry live RNG state and a heap; bit-identical
-  // recovery requires both to round-trip exactly.
+  // 15000 packets at 200 pps span 75 s: the cut falls inside minute 0,
+  // and the minute-1 group's sampler states are created only after it.
+  // Sampler draws hash from each row's stream position, so the restored
+  // run matches the uninterrupted one and a fresh execution, including
+  // in groups the snapshot never held.
   TraceConfig cfg;
   cfg.seed = 21;
-  cfg.rate_pps = 1000.0;
+  cfg.rate_pps = 200.0;
   PacketGenerator gen(cfg);
-  ExpectRecoveryReplayMatches(
-      "select tb, PRISAMP(srcIP, exp(time % 60), 8), "
-      "WRSAMP(srcIP, (time % 60) + 1, 8), RESSAMP(srcIP, 8), "
-      "AGGSAMP(srcIP, 8) from TCP group by time/60 as tb",
-      gen.Generate(15000), /*cut=*/7211);
+  const auto packets = gen.Generate(15000);
+  ASSERT_LT(packets[7211].time, 60.0);
+  ASSERT_GE(packets.back().time, 60.0);
+  ExpectRecoveryReplayMatches(kSamplerGsql, packets, /*cut=*/7211);
+
+  std::string error;
+  auto plan = CompiledQuery::Compile(kSamplerGsql, &error);
+  ASSERT_NE(plan, nullptr) << error;
+  const std::string fresh = RunToEnd(*plan, packets);
+  auto checkpointed = plan->NewExecution();
+  for (std::size_t i = 0; i < 7211; ++i) checkpointed->Consume(packets[i]);
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(checkpointed->CheckpointBytes(&image, &error)) << error;
+  checkpointed.reset();
+  auto restored = plan->NewExecution();
+  ASSERT_TRUE(restored->RestoreBytes(image.data(), image.size(), &error))
+      << error;
+  for (std::size_t i = restored->packets_consumed(); i < packets.size(); ++i) {
+    restored->Consume(packets[i]);
+  }
+  const ResultSet got = restored->Finish();
+  ASSERT_EQ(got.rows.size(), 2u);  // minutes 0 and 1
+  EXPECT_EQ(got.ToString(), fresh);
+}
+
+TEST_F(CheckpointTest, SamplingQueryRunTwiceInOneProcessIsIdentical) {
+  // No sampler state depends on how many states the process created
+  // before it: the same query over the same trace gives the same samples.
+  TraceConfig cfg;
+  cfg.seed = 23;
+  cfg.rate_pps = 200.0;
+  const auto packets = PacketGenerator(cfg).Generate(15000);
+  std::string error;
+  auto plan = CompiledQuery::Compile(kSamplerGsql, &error);
+  ASSERT_NE(plan, nullptr) << error;
+  const std::string first = RunToEnd(*plan, packets);
+  EXPECT_EQ(RunToEnd(*plan, packets), first);
+  auto recompiled = CompiledQuery::Compile(kSamplerGsql, &error);
+  ASSERT_NE(recompiled, nullptr) << error;
+  EXPECT_EQ(RunToEnd(*recompiled, packets), first);
 }
 
 TEST_F(CheckpointTest, RecoveryReplayMatchesSketchUdafs) {
@@ -298,6 +345,28 @@ TEST_F(CheckpointTest, RestoreRejectsCorruptSnapshots) {
   ASSERT_TRUE(FaultFs::Instance().AtomicWriteFile(path_, good, &error));
   auto victim = plan->NewExecution();
   EXPECT_FALSE(victim->Restore(path_ + ".nope", &error));
+}
+
+TEST_F(CheckpointTest, RestoreRefusesVersion1Snapshot) {
+  // Version-1 sampler frames open with 32 bytes of generator state that
+  // version 2 dropped; a v1 image is refused by its header, naming both
+  // versions, never parsed.
+  TraceConfig cfg;
+  cfg.seed = 31;
+  std::string error;
+  auto plan = CompiledQuery::Compile(kSamplerGsql, &error);
+  ASSERT_NE(plan, nullptr) << error;
+  auto exec = plan->NewExecution();
+  for (const Packet& p : PacketGenerator(cfg).Generate(500)) exec->Consume(p);
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(exec->CheckpointBytes(&image, &error)) << error;
+  ASSERT_GE(image.size(), 12u);
+  ASSERT_EQ(image[8], 2u);  // little-endian u32 after the 8-byte magic
+  image[8] = 1;
+  auto victim = plan->NewExecution();
+  EXPECT_FALSE(victim->RestoreBytes(image.data(), image.size(), &error));
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
 }
 
 TEST_F(CheckpointTest, RestoreRejectsDifferentQueryPlan) {

@@ -19,6 +19,7 @@
 
 #include "dsms/engine.h"
 #include "dsms/netgen.h"
+#include "dsms/udafs.h"
 #include "gtest/gtest.h"
 #include "server/client.h"
 #include "server/daemon.h"
@@ -145,6 +146,7 @@ class DaemonProcess {
 class ServerCrashTest : public testing::Test {
  protected:
   void SetUp() override {
+    dsms::RegisterPaperUdafs();  // as fwdecayd does, for the references
     dir_ = testing::TempDir() + "/fwdecay_crash_" +
            testing::UnitTest::GetInstance()->current_test_info()->name();
     RemoveTree(dir_);
@@ -163,10 +165,16 @@ class ServerCrashTest : public testing::Test {
     rmdir(dir.c_str());
   }
 
+  // Streams a trace into a fresh fwdecayd with `gsql` registered, SIGKILLs
+  // it mid-stream, restarts it on the same data dir, and requires every
+  // acked batch to survive and the polled answer to equal a never-crashed
+  // in-process reference fed the durable prefix.
+  void KillMidStreamAndVerify(const char* gsql);
+
   std::string dir_;
 };
 
-TEST_F(ServerCrashTest, SigkillMidStreamLosesNothingAcknowledged) {
+void ServerCrashTest::KillMidStreamAndVerify(const char* gsql) {
   dsms::TraceConfig cfg;
   cfg.seed = 101;
   cfg.num_servers = 32;
@@ -183,7 +191,7 @@ TEST_F(ServerCrashTest, SigkillMidStreamLosesNothingAcknowledged) {
   ASSERT_TRUE(client.Hello("acme", &error)) << error;
   std::uint64_t query_id = 0;
   ErrCode code = ErrCode::kNone;
-  ASSERT_TRUE(client.RegisterQuery("hh", kGsql, /*two_level=*/false,
+  ASSERT_TRUE(client.RegisterQuery("hh", gsql, /*two_level=*/false,
                                    &query_id, &code, &error))
       << error;
 
@@ -226,7 +234,7 @@ TEST_F(ServerCrashTest, SigkillMidStreamLosesNothingAcknowledged) {
   ASSERT_TRUE(again.PollResult(query_id, &recovered, &code, &error)) << error;
 
   std::string compile_error;
-  auto plan = dsms::CompiledQuery::Compile(kGsql, &compile_error);
+  auto plan = dsms::CompiledQuery::Compile(gsql, &compile_error);
   ASSERT_NE(plan, nullptr) << compile_error;
   auto reference = plan->NewExecution();
   dsms::OverloadPolicy policy;
@@ -250,6 +258,20 @@ TEST_F(ServerCrashTest, SigkillMidStreamLosesNothingAcknowledged) {
   EXPECT_TRUE(reply.ok) << reply.message;
 
   restarted.Kill();
+}
+
+TEST_F(ServerCrashTest, SigkillMidStreamLosesNothingAcknowledged) {
+  KillMidStreamAndVerify(kGsql);
+}
+
+TEST_F(ServerCrashTest, SigkillMidStreamSamplersMatchReference) {
+  // Sampler draws hash from each row's position in the query's input, so
+  // the recovered daemon (snapshot + journal replay, in another process)
+  // and this process's reference draw the same uniforms. ~190 rows per
+  // destIP group against k = 4 keeps the samples selective.
+  KillMidStreamAndVerify(
+      "select destIP, count(*), PRISAMP(len, (time % 60) + 1, 4), "
+      "WRSAMP(srcPort, len, 4) from TCP group by destIP");
 }
 
 TEST_F(ServerCrashTest, RepeatedKillsAndRestartsStayConsistent) {

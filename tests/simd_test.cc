@@ -365,9 +365,9 @@ TEST(SimdDifferential, GroupHashI64MatchesGenericHash) {
 
 TEST(SimdDifferential, ShardIndexU64MatchesRemixedModulo) {
   // The routing kernel's contract is exact equality with the remixed
-  // modulo the routers compute per row: HashU64(hash, seed) % shards.
-  // Power-of-two counts take the vectorized mask path; the others must
-  // fall back to the scalar modulo — both are checked against the
+  // multiply-shift reduction: the high half of HashU64(hash, seed),
+  // times shards, shifted down 32 bits. Every shard count, power of two
+  // or not, takes the vectorized path — checked against the scalar
   // oracle and the closed form.
   const std::uint64_t seed = 0x5ca1ab1e0ddba11ULL;  // engine route seed
   for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 7u, 8u, 64u}) {
@@ -384,7 +384,8 @@ TEST(SimdDifferential, ShardIndexU64MatchesRemixedModulo) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(got[i], want[i])
             << "shards=" << shards << " n=" << n << " i=" << i;
-        ASSERT_EQ(got[i], HashU64(hashes[i], seed) % shards);
+        const std::uint64_t hi = HashU64(hashes[i], seed) >> 32;
+        ASSERT_EQ(got[i], (hi * shards) >> 32);
         ASSERT_LT(got[i], shards);
       }
       EXPECT_EQ(got[n], kGuard32) << "wrote past n";

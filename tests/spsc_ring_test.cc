@@ -41,6 +41,7 @@
 #include "util/random.h"
 #include "util/sched.h"
 #include "util/spsc_ring.h"
+#include "util/stats.h"
 
 namespace fwdecay {
 namespace {
@@ -553,6 +554,194 @@ TEST(PipelinedExecutionTest, ShardMergeWithEmptyShards) {
     EXPECT_TRUE(BitIdentical(got, want))
         << "--- got ---\n" << got.ToString()
         << "--- want ---\n" << want.ToString();
+  }
+}
+
+// --------------------------------------------------------------------
+// Deterministic samplers
+// --------------------------------------------------------------------
+//
+// Sampler uniforms hash from each row's determinator (DESIGN.md §8.4),
+// which the router derives from the row's position in its own input. A
+// group's sample therefore does not depend on the shard count, nor —
+// for the heap samplers, whose merge is exact — on two-level evictions.
+// srcPort % 8 gives every group ~450 rows, far more than k = 8, so the
+// samples really select (grouping by srcPort alone would keep every
+// item and prove nothing).
+
+constexpr char kHeapSamplerQuery[] =
+    "select srcPort % 8 as g, PRISAMP(len, time + 1, 8), "
+    "WRSAMP(len, len, 8), RESSAMP(len, 8) from TCP group by srcPort % 8";
+
+ResultSet RunReference(const CompiledQuery& plan,
+                       const std::vector<PacketBatch>& feed) {
+  auto reference = plan.NewExecution();
+  for (const PacketBatch& b : feed) reference->Consume(b);
+  return reference->Finish();
+}
+
+ResultSet RunPipeline(const CompiledQuery& plan,
+                      const std::vector<PacketBatch>& feed,
+                      std::size_t shards) {
+  PipelinedQueryExecution::Options options;
+  options.num_shards = shards;
+  options.ring_capacity = 4;
+  options.batch_capacity = 32;
+  PipelinedQueryExecution pipeline(plan, options);
+  for (const PacketBatch& b : feed) pipeline.Consume(b);
+  return pipeline.Finish();
+}
+
+TEST(PipelinedSamplerTest, HeapSamplersMatchReferenceOneAndTwoLevel) {
+  dsms::RegisterPaperUdafs();
+  std::string error;
+  auto one_level = CompiledQuery::Compile(kHeapSamplerQuery, &error, {});
+  ASSERT_NE(one_level, nullptr) << error;
+  CompiledQuery::Options copts;
+  copts.two_level = true;
+  copts.low_level_slots = 4;  // 8 groups in 4 slots: evictions throughout
+  auto two_level = CompiledQuery::Compile(kHeapSamplerQuery, &error, copts);
+  ASSERT_NE(two_level, nullptr) << error;
+
+  const std::vector<PacketBatch> feed =
+      MakeFeed(/*n_packets=*/4096, /*batch_capacity=*/64, /*port_spread=*/64);
+  const ResultSet want = RunReference(*one_level, feed);
+  ASSERT_EQ(want.rows.size(), 8u);
+  // Exact merges: the two-level split reproduces the one-level samples.
+  const ResultSet two_level_ref = RunReference(*two_level, feed);
+  EXPECT_TRUE(BitIdentical(two_level_ref, want))
+      << "--- two-level ---\n" << two_level_ref.ToString()
+      << "--- one-level ---\n" << want.ToString();
+  for (std::size_t shards = 1; shards <= 4; ++shards) {
+    for (const CompiledQuery* plan : {one_level.get(), two_level.get()}) {
+      const ResultSet got = RunPipeline(*plan, feed, shards);
+      EXPECT_TRUE(BitIdentical(got, want))
+          << shards << " shards, two_level=" << plan->options().two_level
+          << ":\n--- got ---\n" << got.ToString() << "--- want ---\n"
+          << want.ToString();
+    }
+  }
+}
+
+// AGGSAMP is a sequential reservoir with no exact union, so only the
+// one-level plan — where each group's rows reach one state in stream
+// order — is bit-identical across shard counts.
+TEST(PipelinedSamplerTest, AggsampOneLevelMatchesReference) {
+  dsms::RegisterPaperUdafs();
+  std::string error;
+  auto plan = CompiledQuery::Compile(
+      "select srcPort % 8 as g, AGGSAMP(len, 8) from TCP group by srcPort % 8",
+      &error, {});
+  ASSERT_NE(plan, nullptr) << error;
+  const std::vector<PacketBatch> feed =
+      MakeFeed(/*n_packets=*/4096, /*batch_capacity=*/64, /*port_spread=*/64);
+  const ResultSet want = RunReference(*plan, feed);
+  ASSERT_EQ(want.rows.size(), 8u);
+  for (std::size_t shards = 1; shards <= 4; ++shards) {
+    const ResultSet got = RunPipeline(*plan, feed, shards);
+    EXPECT_TRUE(BitIdentical(got, want))
+        << shards << " shards:\n--- got ---\n" << got.ToString()
+        << "--- want ---\n" << want.ToString();
+  }
+}
+
+std::vector<double> ParseSample(const std::string& rendered) {
+  std::vector<double> out;
+  std::size_t begin = 0;
+  while (begin < rendered.size()) {
+    std::size_t end = rendered.find(',', begin);
+    if (end == std::string::npos) end = rendered.size();
+    out.push_back(std::stod(rendered.substr(begin, end - begin)));
+    begin = end + 1;
+  }
+  return out;
+}
+
+// Merge(sample(A), sample(B)) finalizes to sample(A ∪ B) for any
+// partition A|B of a stream — the property the two-level split and any
+// shard-level merge rely on. Partitions range from lopsided (A or B
+// empty) to even.
+TEST(DeterministicSamplerTest, MergeOfAnyPartitionEqualsWholeStreamSample) {
+  dsms::RegisterPaperUdafs();
+  const auto& registry = dsms::AggRegistry::Instance();
+  Rng rng(0x5a3b1eULL);
+  for (const std::string name : {"prisamp", "wrsamp", "ressamp"}) {
+    const bool weighted = name != "ressamp";
+    for (int trial = 0; trial < 40; ++trial) {
+      auto whole = registry.Create(name);
+      auto a = registry.Create(name);
+      auto b = registry.Create(name);
+      const double a_share = trial % 10 == 0 ? (trial % 20 == 0 ? 1.0 : 0.0)
+                                             : rng.NextDouble();
+      for (std::uint64_t i = 0; i < 300; ++i) {
+        const auto item = static_cast<double>(rng.NextBounded(1000));
+        const auto w = static_cast<double>(1 + rng.NextBounded(100));
+        const std::vector<Value> args =
+            weighted ? std::vector<Value>{Value(item), Value(w), Value(8.0)}
+                     : std::vector<Value>{Value(item), Value(8.0)};
+        const std::uint64_t det =
+            dsms::RowDeterminator(300 * static_cast<std::uint64_t>(trial) + i,
+                                  0.01 * static_cast<double>(i));
+        whole->Update(args, det);
+        (rng.NextDouble() < a_share ? a : b)->Update(args, det);
+      }
+      a->Merge(*b);
+      const std::string want = whole->Finalize().ToString();
+      EXPECT_EQ(ParseSample(want).size(), 8u) << name;
+      EXPECT_EQ(a->Finalize().ToString(), want)
+          << name << " trial " << trial << " a_share " << a_share;
+    }
+  }
+}
+
+// The hash-derived uniforms sample at the target frequencies, within the
+// library samplers' tolerances (sampling_test.cc): RESSAMP keeps each of
+// 20 items in a k = 5 sample with p = 1/4, and WRSAMP's k = 1 draw
+// follows the weights. Each trial is a fresh stretch of stream positions.
+TEST(DeterministicSamplerTest, HashDerivedUniformsHitTargetInclusionRates) {
+  dsms::RegisterPaperUdafs();
+  const auto& registry = dsms::AggRegistry::Instance();
+  {
+    const int kTrials = 20000;
+    std::vector<double> inclusions(20, 0.0);
+    for (int trial = 0; trial < kTrials; ++trial) {
+      auto state = registry.Create("ressamp");
+      for (int i = 0; i < 20; ++i) {
+        const std::vector<Value> args{Value(static_cast<double>(i)),
+                                      Value(5.0)};
+        state->Update(args, dsms::RowDeterminator(
+                                static_cast<std::uint64_t>(20 * trial + i),
+                                0.5 * i));
+      }
+      for (double v : ParseSample(state->Finalize().AsString())) {
+        ++inclusions[static_cast<std::size_t>(v)];
+      }
+    }
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_NEAR(inclusions[i] / kTrials, 0.25, 0.02) << "item " << i;
+    }
+  }
+  {
+    const double weights[] = {25, 49, 9, 64, 16};
+    const int kTrials = 50000;
+    std::vector<double> counts(5, 0.0);
+    for (int trial = 0; trial < kTrials; ++trial) {
+      auto state = registry.Create("wrsamp");
+      for (int i = 0; i < 5; ++i) {
+        const std::vector<Value> args{Value(static_cast<double>(i)),
+                                      Value(weights[i]), Value(1.0)};
+        state->Update(args, dsms::RowDeterminator(
+                                static_cast<std::uint64_t>(5 * trial + i),
+                                100.0 + i));
+      }
+      const std::vector<double> sample =
+          ParseSample(state->Finalize().AsString());
+      ASSERT_EQ(sample.size(), 1u);
+      ++counts[static_cast<std::size_t>(sample[0])];
+    }
+    std::vector<double> expected;
+    for (double w : weights) expected.push_back(w / 163.0 * kTrials);
+    EXPECT_LT(ChiSquaredStatistic(counts, expected), 18.5);
   }
 }
 

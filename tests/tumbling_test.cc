@@ -2,6 +2,7 @@
 // + slack behaviour under out-of-order delivery, and late-tuple drops.
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "dsms/engine.h"
 #include "dsms/netgen.h"
 #include "dsms/tumbling.h"
+#include "dsms/udafs.h"
 
 namespace fwdecay::dsms {
 namespace {
@@ -87,6 +89,34 @@ TEST(TumblingRunnerTest, DropsTuplesForEmittedBuckets) {
   EXPECT_EQ(runner.late_drops(), 1u);
   runner.Flush();
   EXPECT_EQ(emissions, 2);
+}
+
+TEST(TumblingRunnerTest, EachWindowDrawsItsOwnSamplerUniforms) {
+  // Every bucket's execution counts stream positions from 0, so two
+  // windows with the same rows at the same offsets share positions. The
+  // timestamp in each row's determinator still gives them independent
+  // uniforms: the samples differ (equal 4-of-200 samples have chance
+  // ~1e-8).
+  RegisterPaperUdafs();
+  std::string error;
+  auto plan = CompiledQuery::Compile(
+      "select destPort, RESSAMP(len, 4) from TCP group by destPort", &error);
+  ASSERT_NE(plan, nullptr) << error;
+  std::map<std::int64_t, std::string> samples;
+  TumblingRunner runner(plan.get(), /*bucket_seconds=*/60.0,
+                        [&](std::int64_t bucket, ResultSet rs) {
+                          samples[bucket] = rs.rows[0][1].AsString();
+                        });
+  for (int window = 0; window < 2; ++window) {
+    for (int i = 0; i < 200; ++i) {
+      Packet p = At(60.0 * window + 0.1 * i);
+      p.len = static_cast<std::uint32_t>(i);
+      runner.Consume(p);
+    }
+  }
+  runner.Flush();
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_NE(samples[0], samples[1]);
 }
 
 TEST(TumblingRunnerTest, EndToEndOverJitteredTrace) {

@@ -38,6 +38,10 @@ class UdafTest : public testing::Test {
   }
 #pragma GCC diagnostic pop
 
+  // Determinator for the next Update: distinct per call (and so per
+  // trial), as the engine's per-row determinators are.
+  std::uint64_t det_ = 0;
+
   static std::set<double> ParseSample(const std::string& rendered) {
     std::set<double> out;
     std::stringstream ss(rendered);
@@ -69,7 +73,7 @@ TEST_F(UdafTest, RegistryRejectsUnknownCreate) {
 TEST_F(UdafTest, RessampKeepsEverythingUnderCapacity) {
   auto state = Make("ressamp");
   for (double v : {1.0, 2.0, 3.0}) {
-    state->Update(Args({v, 10.0}));  // k = 10
+    state->Update(Args({v, 10.0}), det_++);  // k = 10
   }
   EXPECT_EQ(ParseSample(state->Finalize().AsString()),
             (std::set<double>{1.0, 2.0, 3.0}));
@@ -78,9 +82,9 @@ TEST_F(UdafTest, RessampKeepsEverythingUnderCapacity) {
 TEST_F(UdafTest, PrisampRespectsSampleSizeAndSkipsZeroWeights) {
   auto state = Make("prisamp");
   for (int i = 0; i < 100; ++i) {
-    state->Update(Args({static_cast<double>(i), 1.0, 8.0}));  // k = 8
+    state->Update(Args({static_cast<double>(i), 1.0, 8.0}), det_++);  // k = 8
   }
-  state->Update(Args({999.0, 0.0, 8.0}));  // zero weight: never sampled
+  state->Update(Args({999.0, 0.0, 8.0}), det_++);  // zero weight: never sampled
   const auto sample = ParseSample(state->Finalize().AsString());
   EXPECT_EQ(sample.size(), 8u);
   EXPECT_FALSE(sample.contains(999.0));
@@ -92,9 +96,9 @@ TEST_F(UdafTest, WrsampHeavyWeightDominates) {
   for (int trial = 0; trial < 50; ++trial) {
     auto state = Make("wrsamp");
     for (int i = 0; i < 50; ++i) {
-      state->Update(Args({static_cast<double>(i), 1.0, 4.0}));
+      state->Update(Args({static_cast<double>(i), 1.0, 4.0}), det_++);
     }
-    state->Update(Args({777.0, 1e9, 4.0}));
+    state->Update(Args({777.0, 1e9, 4.0}), det_++);
     kept += ParseSample(state->Finalize().AsString()).contains(777.0);
   }
   EXPECT_GE(kept, 49);
@@ -104,8 +108,8 @@ TEST_F(UdafTest, PrisampMergeCombinesSamples) {
   auto a = Make("prisamp");
   auto b = Make("prisamp");
   for (int i = 0; i < 20; ++i) {
-    a->Update(Args({static_cast<double>(i), 1.0, 64.0}));
-    b->Update(Args({100.0 + i, 1.0, 64.0}));
+    a->Update(Args({static_cast<double>(i), 1.0, 64.0}), det_++);
+    b->Update(Args({100.0 + i, 1.0, 64.0}), det_++);
   }
   a->Merge(*b);
   const auto sample = ParseSample(a->Finalize().AsString());
@@ -127,7 +131,7 @@ TEST_F(UdafTest, FdhhReportsTheHeavyKey) {
     const double key = rng.NextBernoulli(0.5)
                            ? 42.0
                            : static_cast<double>(100 + rng.NextBounded(1000));
-    state->Update(Args({key, 1.0, 0.2, 0.01}));
+    state->Update(Args({key, 1.0, 0.2, 0.01}), det_++);
   }
   const std::string rendered = state->Finalize().AsString();
   EXPECT_NE(rendered.find("42:"), std::string::npos) << rendered;
@@ -140,8 +144,8 @@ TEST_F(UdafTest, UnaryhhMatchesFdhhOnUnitWeights) {
   ZipfGenerator zipf(100, 1.5);
   for (int i = 0; i < 20000; ++i) {
     const auto key = static_cast<double>(zipf.Next(rng));
-    unary->Update(Args({key, 0.1, 0.01}));
-    weighted->Update(Args({key, 1.0, 0.1, 0.01}));
+    unary->Update(Args({key, 0.1, 0.01}), det_++);
+    weighted->Update(Args({key, 1.0, 0.1, 0.01}), det_++);
   }
   // Both must report key 1 (the Zipf head) first.
   const std::string u = unary->Finalize().AsString();
@@ -155,7 +159,7 @@ TEST_F(UdafTest, EhdsumProducesDecayedSumBelowTotal) {
   double total = 0.0;
   for (int i = 1; i <= 2000; ++i) {
     const double ts = 0.05 * i;
-    state->Update(Args({ts, 100.0, 0.1}));
+    state->Update(Args({ts, 100.0, 0.1}), det_++);
     total += 100.0;
   }
   const double decayed = state->Finalize().AsDouble();
@@ -167,7 +171,7 @@ TEST_F(UdafTest, FdquantileFindsWeightedMedian) {
   auto state = Make("fdquantile");
   // Values 0..999 uniformly, unit weights: median ~ 500.
   for (int i = 0; i < 1000; ++i) {
-    state->Update(Args({static_cast<double>(i), 1.0, 0.5, 10.0}));
+    state->Update(Args({static_cast<double>(i), 1.0, 0.5, 10.0}), det_++);
   }
   const auto median = static_cast<double>(state->Finalize().AsInt());
   EXPECT_NEAR(median, 500.0, 30.0);
@@ -180,7 +184,7 @@ TEST_F(UdafTest, FddistinctWithUnitWeightsCountsDistinct) {
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t key = rng.NextBounded(3000);
     truth.insert(key);
-    state->Update(Args({static_cast<double>(key), 1.0}));
+    state->Update(Args({static_cast<double>(key), 1.0}), det_++);
   }
   const double est = state->Finalize().AsDouble();
   const auto d = static_cast<double>(truth.size());
@@ -198,8 +202,8 @@ TEST_F(UdafTest, FdMinMaxTrackScaledExtremum) {
       {105, 4}, {107, 8}, {103, 3}, {108, 6}, {104, 4}};
   for (const auto& [ts, v] : stream) {
     const double w = (ts - 100.0) * (ts - 100.0);
-    mn->Update(Args({v, w}));
-    mx->Update(Args({v, w}));
+    mn->Update(Args({v, w}), det_++);
+    mx->Update(Args({v, w}), det_++);
   }
   EXPECT_NEAR(mn->Finalize().AsDouble() / 100.0, 0.27, 1e-12);
   EXPECT_NEAR(mx->Finalize().AsDouble() / 100.0, 3.92, 1e-12);
@@ -208,8 +212,8 @@ TEST_F(UdafTest, FdMinMaxTrackScaledExtremum) {
 TEST_F(UdafTest, FdMinMaxMergeTakesBetter) {
   auto a = Make("fdmax");
   auto b = Make("fdmax");
-  a->Update(Args({4.0, 25.0}));
-  b->Update(Args({8.0, 49.0}));
+  a->Update(Args({4.0, 25.0}), det_++);
+  b->Update(Args({8.0, 49.0}), det_++);
   a->Merge(*b);
   EXPECT_DOUBLE_EQ(a->Finalize().AsDouble(), 392.0);
 }
@@ -217,8 +221,8 @@ TEST_F(UdafTest, FdMinMaxMergeTakesBetter) {
 TEST_F(UdafTest, SwhhRefusesTwoLevelMerge) {
   auto a = Make("swhh");
   auto b = Make("swhh");
-  a->Update(Args({1.0, 42.0}));
-  b->Update(Args({2.0, 42.0}));
+  a->Update(Args({1.0, 42.0}), det_++);
+  b->Update(Args({2.0, 42.0}), det_++);
   EXPECT_DEATH(a->Merge(*b), "two-level");
 }
 
